@@ -129,10 +129,13 @@ def cs_action(complex_, a):
 
 
 def _cs_quadratic_matrix(complex_):
-    """Matrix C with cs_action(A) = A^T C A, assembled per top simplex."""
-    cache = complex_.__dict__.get("_cs_matrix")
-    if cache is not None:
-        return cache
+    """Matrix C with cs_action(A) = A^T C A (memoized per complex)."""
+    return complex_._memo("cs_matrix",
+                          lambda: _build_cs_quadratic_matrix(complex_))
+
+
+def _build_cs_quadratic_matrix(complex_):
+    """Assemble C per top simplex."""
     n1 = complex_.n_simplices(1)
     c_mat = np.zeros((n1, n1))
     z = fundamental_cycle(complex_)
@@ -143,7 +146,6 @@ def _cs_quadratic_matrix(complex_):
         front = idx1[tau[:2]]
         back = idx2[tau[1:]]
         c_mat[front, :] += float(eps) * d1[back, :]
-    complex_._cs_matrix = c_mat
     return c_mat
 
 

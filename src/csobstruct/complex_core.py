@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,7 @@ class SimplicialComplex:
         self._index = {k: {s: i for i, s in enumerate(self.simplices[k])}
                        for k in range(self.dim + 1)}
         self._top_set = set(tops)
-        self._d_cache = {}
-        self._d_triplet_cache = {}
+        self._memo_data = {}
 
         if top_orientation is not None:
             ori = [int(e) for e in top_orientation]
@@ -88,6 +88,17 @@ class SimplicialComplex:
             self.top_orientation = ori
         else:
             self.top_orientation = None
+
+    def _memo(self, key, build):
+        """The one per-complex cache: build() runs once per key.
+
+        Complexes are immutable, so every derived datum (coboundaries,
+        fundamental cycle, integral generators, cohomology bases) is kept
+        here and read back on later calls.
+        """
+        if key not in self._memo_data:
+            self._memo_data[key] = build()
+        return self._memo_data[key]
 
     # -- basic queries -------------------------------------------------
 
@@ -118,8 +129,9 @@ class SimplicialComplex:
 
     def _d_triplets(self, k):
         """(row, col, sign) triplets of d_k: C^k -> C^{k+1}."""
-        if k in self._d_triplet_cache:
-            return self._d_triplet_cache[k]
+        return self._memo(("triplets", k), lambda: self._build_triplets(k))
+
+    def _build_triplets(self, k):
         rows, cols, signs = [], [], []
         idx_k = self._index[k]
         for r, tau in enumerate(self.simplices[k + 1]):
@@ -127,21 +139,19 @@ class SimplicialComplex:
                 rows.append(r)
                 cols.append(idx_k[f])
                 signs.append(-1 if i % 2 else 1)
-        trip = (rows, cols, signs)
-        self._d_triplet_cache[k] = trip
-        return trip
+        return rows, cols, signs
 
     def coboundary_matrix(self, k):
         """Sparse integer matrix of d_k : C^k -> C^{k+1} (rows: (k+1)-simplices)."""
         if not 0 <= k < self.dim:
             raise Error("DEGREE_OUT_OF_RANGE", f"k={k}, dim={self.dim}")
-        if k not in self._d_cache:
-            rows, cols, signs = self._d_triplets(k)
-            m = sp.csr_matrix(
-                (np.array(signs, dtype=np.int64), (rows, cols)),
-                shape=(self.n_simplices(k + 1), self.n_simplices(k)))
-            self._d_cache[k] = m
-        return self._d_cache[k]
+        return self._memo(("d", k), lambda: self._build_coboundary(k))
+
+    def _build_coboundary(self, k):
+        rows, cols, signs = self._d_triplets(k)
+        return sp.csr_matrix(
+            (np.array(signs, dtype=np.int64), (rows, cols)),
+            shape=(self.n_simplices(k + 1), self.n_simplices(k)))
 
     def coboundary_dense(self, k):
         return self.coboundary_matrix(k).toarray().astype(float)
@@ -164,10 +174,19 @@ class Cochain:
 
     @staticmethod
     def make(degree, ring, values):
+        """Cochain from parsed numbers; rejects values the ring cannot hold."""
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+               for v in values):
+            raise Error("PARSE_ERROR", "cochain values must be numbers")
         if ring == INT:
+            if not all(isinstance(v, numbers.Integral) or
+                       float(v).is_integer() for v in values):
+                raise Error("PARSE_ERROR", "int cochain values must be integers")
             arr = np.array([int(v) for v in values], dtype=object)
         else:
             arr = np.asarray(values, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise Error("PARSE_ERROR", "real cochain values must be finite")
         return Cochain(degree, ring, arr)
 
     @staticmethod
@@ -219,11 +238,8 @@ def fundamental_cycle(complex_):
     non-orientable, a nonzero boundary after propagation means it is not
     closed.  Memoized per complex (complexes are immutable).
     """
-    cached = complex_.__dict__.get("_fundamental_cycle")
-    if cached is None:
-        cached = _fundamental_cycle_compute(complex_)
-        complex_.__dict__["_fundamental_cycle"] = cached
-    return cached
+    return complex_._memo("fundamental_cycle",
+                          lambda: _fundamental_cycle_compute(complex_))
 
 
 def _fundamental_cycle_compute(complex_):
@@ -316,22 +332,6 @@ class Subcomplex:
         return d[self.indices[k + 1], :][:, self.indices[k]].toarray() \
             .astype(float)
 
-    def to_complex(self):
-        """Relabeled SimplicialComplex plus local-vertex -> global-vertex map."""
-        verts = [s[0] for s in self.simplices[0]]
-        relabel = {v: i for i, v in enumerate(verts)}
-        top = []
-        covered = set()
-        for k in sorted(self.simplices, reverse=True):
-            for s in self.simplices[k]:
-                if s not in covered:
-                    top.append(tuple(relabel[v] for v in s))
-                for f in itertools.chain.from_iterable(
-                        itertools.combinations(s, r)
-                        for r in range(1, len(s) + 1)):
-                    covered.add(f)
-        return SimplicialComplex(top), verts
-
 
 def _closure(parent, core):
     by_degree = {}
@@ -397,10 +397,17 @@ def load_cochain(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise Error("PARSE_ERROR", str(e))
+    if not isinstance(doc, dict):
+        raise Error("PARSE_ERROR", "cochain document must be an object")
     for f in ("degree", "ring", "values"):
         if f not in doc:
             raise Error("PARSE_ERROR", f"missing cochain field {f}")
-    return Cochain.make(int(doc["degree"]), doc["ring"], doc["values"])
+    degree = doc["degree"]
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise Error("PARSE_ERROR", "cochain degree must be an integer")
+    if not isinstance(doc["values"], list):
+        raise Error("PARSE_ERROR", "cochain values must be a list")
+    return Cochain.make(degree, doc["ring"], doc["values"])
 
 
 def dump_cochain(cochain):

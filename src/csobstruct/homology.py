@@ -1,10 +1,13 @@
 """Integer and real cohomology: groups, bases, primitives.
 
-The integral side runs on exact Smith normal forms; the real side reports
-class coordinates in a basis of integral generators, with the projector
-built from the combinatorial harmonic space (kernel of d_k stacked with
-the transpose of d_{k-1}).  Coordinates of an integral cocycle are then
-integers, which keeps pairing matrices and Chern classes exact.
+The integral side runs on exact Smith normal forms, one per coboundary
+and one per image lattice, each made once per complex and kept in its
+memo; integer groups are read off the integral generators.  The real
+side reports class coordinates in a basis of integral generators, with
+the projector built from the combinatorial harmonic space (kernel of d_k
+stacked with the transpose of d_{k-1}).  Coordinates of an integral
+cocycle are then integers, which keeps pairing matrices and Chern
+classes exact.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import scipy.linalg
 
 from .complex_core import Cochain, INT, REAL, apply_d
 from .errors import Error
-from .snf import kernel_basis, smith_normal_form, solve_integer
+from .snf import smith_normal_form
 
 EXACT_REL_TOL = 1e-9
 EXACT_ABS_TOL = 1e-12
@@ -40,38 +43,25 @@ def _check_degree(complex_, k):
 
 
 def _d_dense_int(complex_, k):
-    """d_k as an object-int array; None outside 0 <= k < dim."""
-    if not 0 <= k < complex_.dim:
-        return None
+    """d_k as an object-int array."""
     return np.array(complex_.coboundary_matrix(k).toarray().tolist(),
                     dtype=object)
 
 
-def _int_rank(complex_, k):
-    cache = complex_.__dict__.setdefault("_int_rank_cache", {})
-    if k not in cache:
-        d = _d_dense_int(complex_, k)
-        cache[k] = 0 if d is None else smith_normal_form(d).rank
-    return cache[k]
-
-
 def homology_groups(complex_, k, coefficients=REAL):
-    """Cohomology group H^k; torsion of H^k comes from d_{k-1}."""
+    """Cohomology group H^k.
+
+    Over the reals the Betti number comes from float ranks of d_k and
+    d_{k-1}; over the integers the group is read off integral_generators.
+    """
     _check_degree(complex_, k)
     n_k = complex_.n_simplices(k)
     if coefficients == REAL:
         rank_k = _real_rank(complex_, k)
         rank_km1 = _real_rank(complex_, k - 1)
         return GroupDescriptor(n_k - rank_k - rank_km1, [])
-    rank_k = _int_rank(complex_, k)
-    rank_km1 = _int_rank(complex_, k - 1)
-    betti = n_k - rank_k - rank_km1
-    d_km1 = _d_dense_int(complex_, k - 1)
-    torsion = []
-    if d_km1 is not None:
-        torsion = [d for d in smith_normal_form(d_km1).invariant_factors
-                   if d > 1]
-    return GroupDescriptor(betti, torsion)
+    free, torsion = integral_generators(complex_, k)
+    return GroupDescriptor(len(free), [order for order, _ in torsion])
 
 
 def _real_rank(complex_, k):
@@ -93,32 +83,52 @@ def integral_generators(complex_, k):
     generators have the stated order.  All returned arrays are object-int.
     """
     _check_degree(complex_, k)
-    cache = complex_.__dict__.setdefault("_intgen_cache", {})
-    if k in cache:
-        return cache[k]
-    cache[k] = _integral_generators(complex_, k)
-    return cache[k]
+    if k < complex_.dim:
+        return _reduce(complex_, k)[0]
+    if k == 0:  # 0-dimensional complex: every 0-cochain is a cocycle
+        eye = np.eye(complex_.n_simplices(0), dtype=int).astype(object)
+        return list(eye.T), []
+    return _reduce(complex_, k - 1)[1]
 
 
-def _integral_generators(complex_, k):
-    n_k = complex_.n_simplices(k)
-    d_k = _d_dense_int(complex_, k)
-    if d_k is None:
-        kb = np.eye(n_k, dtype=int).astype(object)
-    else:
-        kb = kernel_basis(d_k)
-    z = kb.shape[1]
-    d_km1 = _d_dense_int(complex_, k - 1)
-    if d_km1 is None or z == 0:
-        free = [kb[:, i] for i in range(z)]
-        return free, []
-    # image of d_{k-1} expressed in kernel-lattice coordinates
-    coords = solve_integer(kb, d_km1)
-    res = smith_normal_form(coords)
+def _reduce(complex_, k):
+    """Generators of H^k, and of H^{k+1} at k = dim-1, from one SNF of d_k.
+
+    With d_k = U S V of rank r, the columns of v_inv[:, r:] are a basis of
+    the lattice ker d_k and V[r:, :] maps a kernel vector to its
+    coordinates in that basis.  The columns of d_{k-1} lie in ker d_k, so
+    a second SNF, of V[r:, :] @ d_{k-1}, splits H^k.  At k = dim-1,
+    ker d_{k+1} is all of C^{k+1}, so the SNF of d_k itself splits
+    H^{k+1}.  Memoized per complex and degree.
+    """
+    def build():
+        res = smith_normal_form(_d_dense_int(complex_, k))
+        r = res.rank
+        kernel = res.v_inv[:, r:]
+        if k == 0 or kernel.shape[1] == 0:
+            here = [kernel[:, i] for i in range(kernel.shape[1])], []
+        else:
+            coords = res.V[r:, :] @ _d_dense_int(complex_, k - 1)
+            here = _quotient_generators(smith_normal_form(coords), kernel)
+        above = _quotient_generators(res) if k == complex_.dim - 1 else None
+        return here, above
+    return complex_._memo(("generators", k), build)
+
+
+def _quotient_generators(res, lattice=None):
+    """(free, torsion) generators of lattice / image.
+
+    res is the SNF of the image written in lattice coordinates; lattice
+    holds the basis vectors as columns (None: the standard basis).
+    """
+    def vector(i):
+        u = res.U[:, i]
+        return u.copy() if lattice is None else lattice @ u
+
+    diag = res.diag
     r = res.rank
-    free = [kb @ res.U[:, i] for i in range(r, z)]
-    torsion = [(int(res.S[i, i]), kb @ res.U[:, i])
-               for i in range(r) if res.S[i, i] > 1]
+    free = [vector(i) for i in range(r, res.S.shape[0])]
+    torsion = [(diag[i], vector(i)) for i in range(r) if diag[i] > 1]
     return free, torsion
 
 
@@ -183,10 +193,8 @@ def cohomology_basis_real(complex_, k):
 
 def basis(complex_, k):
     """Memoized cohomology_basis_real (complexes are immutable)."""
-    cache = complex_.__dict__.setdefault("_basis_cache", {})
-    if k not in cache:
-        cache[k] = cohomology_basis_real(complex_, k)
-    return cache[k]
+    return complex_._memo(("basis", k),
+                          lambda: cohomology_basis_real(complex_, k))
 
 
 # -- exactness and primitives -----------------------------------------
@@ -199,11 +207,14 @@ def _closedness_tol(values):
 
 
 def require_closed(complex_, cochain, tol=None):
+    if cochain.degree == complex_.dim and \
+            len(cochain.values) != complex_.n_simplices(cochain.degree):
+        raise Error("BASE_MISMATCH", "cochain length does not match complex")
     if cochain.degree >= complex_.dim:
         return  # top degree: closed by convention
     dv = apply_d(complex_, cochain).as_float()
     limit = tol if tol is not None else _closedness_tol(cochain.values)
-    if dv.size and float(np.max(np.abs(dv))) > limit:
+    if dv.size and not float(np.max(np.abs(dv))) <= limit:  # NaN fails
         raise Error("NOT_CLOSED",
                     f"coboundary norm {np.max(np.abs(dv)):.3e} exceeds {limit:.3e}")
 

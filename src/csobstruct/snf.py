@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Error
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -134,35 +132,3 @@ def smith_normal_form(M):
             row_add(t, offender, -1)  # row t += offending row, retry pivot
 
     return SNFResult(U, S, V, Uinv, Vinv)
-
-
-def kernel_basis(M):
-    """Columns generating the saturated integer kernel lattice of M."""
-    res = smith_normal_form(M)
-    m, n = res.S.shape
-    r = res.rank
-    if r == n:
-        return np.zeros((n, 0), dtype=object) + 0
-    return res.v_inv[:, r:n]
-
-
-def solve_integer(A, B):
-    """Exact solve A @ Y = B over Z; raises if no integer solution."""
-    A = _int_matrix(A)
-    B = _int_matrix(B)
-    res = smith_normal_form(A)
-    m, n = A.shape
-    rhs = res.u_inv @ B
-    Y = np.zeros((n, B.shape[1]), dtype=object) + 0
-    diag = res.diag
-    r = res.rank
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if any(x != 0 for x in rhs[i, :]):
-                raise Error("NO_INTEGER_SOLUTION", "rhs outside column span")
-        else:
-            if any(x % d != 0 for x in rhs[i, :]):
-                raise Error("NO_INTEGER_SOLUTION", "divisibility fails")
-            Y[i, :] = rhs[i, :] // d
-    return res.v_inv @ Y

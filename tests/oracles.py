@@ -1,33 +1,33 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Deliberately naive: textbook gcd-sweep diagonalization for invariant
-factors and fraction-exact Gaussian elimination for ranks, sharing no
+factors and fraction-free (Bareiss) elimination for ranks, sharing no
 code with the package's Smith normal form or basis machinery.
 """
 
-from fractions import Fraction
-from math import gcd
-
 
 def exact_rank(rows):
-    """Rank over Q by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank over Q by fraction-free (Bareiss) elimination on Python ints.
+
+    After each pivot every entry below it is a minor of the input, so the
+    division by the previous pivot is exact.
+    """
+    m = [[int(x) for x in row] for row in rows]
     if not m or not m[0]:
         return 0
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
-    col = 0
+    prev = 1
     for col in range(n_cols):
         piv = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        p = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[rank])]
+        prev = p
         rank += 1
         if rank == n_rows:
             break
@@ -94,7 +94,7 @@ def invariant_factors(rows):
 
 
 def betti(complex_, k):
-    """Real Betti number from fraction-exact ranks of the coboundaries."""
+    """Real Betti number from exact ranks of the coboundaries."""
     up = exact_rank(complex_.coboundary_matrix(k).toarray().tolist()) \
         if k < complex_.dim else 0
     down = exact_rank(complex_.coboundary_matrix(k - 1).toarray().tolist()) \

@@ -6,6 +6,7 @@ from csobstruct import cech
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error, InconsistencyError
 from conftest import random_closed_cochain, random_real_cochain
+from oracles import exact_rank
 
 
 class TestStarCover:
@@ -21,17 +22,25 @@ class TestStarCover:
     def test_vertex_star_counts(self, s3, t3):
         # boundary of the 4-simplex: star of a vertex holds all 4 tets
         # through it; in general each tet shows up in exactly 4 stars
-        c3 = cs.star_cover(s3, check_goodness=False)
+        c3 = cs.star_cover(s3)
         assert all(c3.star((v,)).sub.n_simplices(3) == 4
                    for (v,) in s3.simplices[0])
-        ct = cs.star_cover(t3, check_goodness=False)
+        ct = cs.star_cover(t3)
         total = sum(ct.star((v,)).sub.n_simplices(3)
                     for (v,) in t3.simplices[0])
         assert total == 4 * t3.n_simplices(3)
 
     def test_goodness_check_passes_on_fixtures(self, fixtures3d):
-        for K in fixtures3d.values():
-            cs.star_cover(K)  # raises COVER_NOT_GOOD on failure
+        """Every star is acyclic: all reduced Betti numbers vanish."""
+        for name, K in fixtures3d.items():
+            for s, star in cs.star_cover(K).stars.items():
+                sub = star.sub
+                ranks = [exact_rank(sub.coboundary_dense(k).astype(int))
+                         for k in range(sub.dim())]
+                for k in range(sub.dim() + 1):
+                    up = ranks[k] if k < sub.dim() else 0
+                    down = ranks[k - 1] if k > 0 else 1  # reduced H^0
+                    assert sub.n_simplices(k) - up - down == 0, (name, s, k)
 
     def test_top_star_is_single_simplex(self, s3, covers):
         cover = covers["s3"]

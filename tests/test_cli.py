@@ -97,6 +97,12 @@ class TestHomology:
         assert "FILE_NOT_FOUND" in err
 
 
+def _cochain_doc(value, degree="2", ring='"real"'):
+    """Cochain document for s3's 10 triangles, every value the same."""
+    return '{"degree": %s, "ring": %s, "values": [%s]}' % (
+        degree, ring, ", ".join([value] * 10))
+
+
 class TestPrimitive:
     def test_exact(self, capsys, paths):
         r = report(capsys, ["primitive", paths["s3"], paths["exact2_s3"]])
@@ -107,6 +113,21 @@ class TestPrimitive:
                             paths["fiber_s1xs2"]])
         assert not r["exact"]
         assert abs(abs(r["class_coordinates"][0]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("doc", [
+        "5",
+        _cochain_doc("0.7", ring='"int"'),
+        _cochain_doc("NaN"),
+        _cochain_doc('"a"'),
+        _cochain_doc("0.0", degree='"x"'),
+        _cochain_doc("null"),
+    ])
+    def test_malformed_cochain_is_parse_error(self, capsys, paths,
+                                              tmp_path, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(doc)
+        err = report(capsys, ["primitive", paths["s3"], str(p)], expect=1)
+        assert "PARSE_ERROR" in err
 
 
 class TestPairingChern:

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import csobstruct as cs
+from csobstruct import homology
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from conftest import random_real_cochain
@@ -38,6 +42,56 @@ def test_degree_out_of_range(s3):
 def test_s3_connected(s3):
     g = cs.homology_groups(s3, 0, "int")
     assert g.betti == 1 and g.torsion == []
+
+
+class TestIntegralGenerators:
+    # sha256 of the free and torsion generator vectors, per degree
+    DIGESTS = {
+        ("s1xs2", 0): "e4fd999554a6de816456029e2cd5b39e"
+                      "14836c1e7d2263aba06025fa0fae9b87",
+        ("s1xs2", 1): "c76f8504c56adac15adf9fa0d6125214"
+                      "fc9e3beaccbede1c0410c4ddbda08057",
+        ("s1xs2", 2): "db3cf4e4247a43f1452a03a4aaf04849"
+                      "6edfb9eb0a712d74774f434495835de1",
+        ("s1xs2", 3): "7143d6e968448df21710190cae190b92"
+                      "36afd625a599378400410dbf7885455d",
+        ("rp3", 0): "21e8ca8a42ca3822c2f60fbe2250604e"
+                    "6750a74c3fc541e1305e9d49218cd359",
+        ("rp3", 1): "0d22570de4d57363af2e7db1de568ed4"
+                    "06f9b63fe4443af1ceeb91aee4c7eb11",
+        ("rp3", 2): "770669f4bea8808dbf2a4afbdb5fbe23"
+                    "ccb19d41b17715a88e50282da0a0d835",
+        ("rp3", 3): "5da8e49dd92944ae00312c8a8f7befc9"
+                    "b0cfc802f255f4afe94cfed7e4dedbb3",
+    }
+
+    def test_generators_do_not_move(self, s1xs2, rp3):
+        """Every report reads these exact vectors; they stay bit-stable."""
+        for name, K in (("s1xs2", s1xs2), ("rp3", rp3)):
+            for k in range(K.dim + 1):
+                free, tors = cs.integral_generators(K, k)
+                doc = {"free": [[int(x) for x in g] for g in free],
+                       "torsion": [[int(o), [int(x) for x in g]]
+                                   for o, g in tors]}
+                digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+                assert digest == self.DIGESTS[(name, k)], (name, k)
+
+    def test_no_matrix_reduced_twice(self, monkeypatch):
+        K = cs.generate("s1xs2")
+        seen = []
+        snf = homology.smith_normal_form
+
+        def counting(M):
+            m = np.asarray(M, dtype=object)
+            seen.append((m.shape, tuple(int(x) for x in m.ravel())))
+            return snf(M)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        for k in range(K.dim + 1):
+            cs.homology_groups(K, k, "int")
+            cs.integral_generators(K, k)
+            cs.basis(K, k)
+        assert seen and len(set(seen)) == len(seen)
 
 
 class TestBasis:
@@ -87,6 +141,17 @@ class TestFindPrimitive:
         res = cs.find_primitive(s3, Cochain.zeros(s3, 2))
         assert res.exact
         assert np.abs(res.primitive.values).max() < 1e-12
+
+    def test_nan_not_closed(self, s3):
+        w = Cochain(1, "real", np.full(s3.n_simplices(1), np.nan))
+        with pytest.raises(Error) as e:
+            cs.find_primitive(s3, w)
+        assert e.value.code == "NOT_CLOSED"
+
+    def test_short_top_cochain_rejected(self, s3):
+        with pytest.raises(Error) as e:
+            cs.find_primitive(s3, Cochain(3, "real", np.ones(1)))
+        assert e.value.code == "BASE_MISMATCH"
 
     def test_not_closed_rejected(self, s3):
         rng = np.random.default_rng(7)

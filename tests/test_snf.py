@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from csobstruct.snf import (kernel_basis, smith_normal_form, solve_integer)
-from csobstruct.errors import Error
+from csobstruct.snf import smith_normal_form
 from oracles import invariant_factors
 
 
@@ -75,23 +73,21 @@ def test_kernel_basis_spans_kernel():
     rng = np.random.default_rng(2)
     for _ in range(10):
         M = as_int(rng.integers(-4, 5, size=(4, 6)))
-        kb = kernel_basis(M)
+        res = smith_normal_form(M)
+        kb = res.v_inv[:, res.rank:]
         assert not (M @ kb).any()
         flo = np.array(kb.tolist(), dtype=float)
         if flo.size:
             assert np.linalg.matrix_rank(flo) == kb.shape[1]
 
 
-def test_solve_integer_roundtrip():
+def test_kernel_coordinates_roundtrip():
+    """V[r:, :] gives the coordinates of a kernel vector in v_inv[:, r:]."""
     rng = np.random.default_rng(3)
-    A = as_int(rng.integers(-4, 5, size=(5, 3)))
-    Y = as_int(rng.integers(-4, 5, size=(3, 2)))
-    B = A @ Y
-    sol = solve_integer(A, B)
-    assert (A @ sol == B).all()
-
-
-def test_solve_integer_infeasible():
-    with pytest.raises(Error) as e:
-        solve_integer([[2]], [[1]])
-    assert e.value.code == "NO_INTEGER_SOLUTION"
+    for _ in range(10):
+        M = as_int(rng.integers(-3, 4, size=(3, 6)))
+        res = smith_normal_form(M)
+        kb = res.v_inv[:, res.rank:]
+        C = as_int(rng.integers(-4, 5, size=(kb.shape[1], 2)))
+        Y = kb @ C
+        assert (res.V[res.rank:, :] @ Y == C).all()
