@@ -4,8 +4,8 @@ The cover's overlaps are the closed stars of simplices (the star of a
 simplex is contained in the star of each of its faces), so the nerve is
 the complex itself and a fully descended Cech cocycle with constant
 coefficients is literally a simplicial cochain.  Each descent level
-solves local primitives on acyclic stars by least squares, with the local
-solve operators factorized once per cover and reused.
+solves local primitives on acyclic stars by least squares, with each
+star's local coboundary and pseudo-inverse built once per degree.
 """
 
 from __future__ import annotations
@@ -16,30 +16,36 @@ import numpy as np
 
 from .complex_core import Cochain, REAL, star_of_simplex
 from .errors import Error, InconsistencyError
-from .homology import (PrimitiveResult, basis, find_primitive,
-                       require_closed, _closedness_tol)
+from .homology import (basis, find_primitive, require_closed,
+                       _closedness_tol)
 
 CECH_TOL = 1e-8
-
-# Nerve identification sign per de Rham degree, frozen by evaluating both
-# candidates on known generators (the raw zig-zag output lands in the
-# negative of the simplicial class with our difference convention).
-_NERVE_SIGN = {1: -1, 2: -1, 3: -1}
 
 
 @dataclass
 class _Star:
-    """Closed star of one simplex with cached local solve operators."""
+    """Closed star of one simplex with its local operators per degree."""
 
+    simplex: tuple
     sub: object                       # Subcomplex
-    _pinv: dict = field(default_factory=dict)
+    _ops: dict = field(default_factory=dict)
 
-    def solve_primitive(self, local_values, k):
-        """Local beta with d(beta) = values in degree k; beta has degree k-1."""
-        if k - 1 not in self._pinv:
+    def solve(self, values, k, limit):
+        """Local beta with d(beta) = values in degree k; beta has degree k-1.
+
+        The local d_{k-1} and its pseudo-inverse are built once per degree;
+        a residual above limit is a STAR_SOLVE_FAILURE.
+        """
+        if k - 1 not in self._ops:
             d = self.sub.coboundary_dense(k - 1)
-            self._pinv[k - 1] = np.linalg.pinv(d)
-        return self._pinv[k - 1] @ local_values
+            self._ops[k - 1] = (d, np.linalg.pinv(d))
+        d, pinv = self._ops[k - 1]
+        beta = pinv @ values
+        resid = float(np.max(np.abs(d @ beta - values), initial=0.0))
+        if resid > limit:
+            raise Error("STAR_SOLVE_FAILURE", f"primitive residual "
+                        f"{resid:.3e} on star of {self.simplex}")
+        return beta
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ def star_cover(complex_):
     stars = {}
     for k in range(complex_.dim + 1):
         for s in complex_.simplices[k]:
-            stars[s] = _Star(star_of_simplex(complex_, s))
+            stars[s] = _Star(s, star_of_simplex(complex_, s))
     return StarCover(complex_, stars)
 
 
@@ -97,37 +103,30 @@ def local_primitives(cover, omega):
     if k < 1:
         raise Error("DEGREE_OUT_OF_RANGE", "local primitives need degree >= 1")
     vals = omega.as_float()
-    tol = _closedness_tol(vals) * 10
+    limit = max(_closedness_tol(vals) * 10, 1e-8)
     members = {}
     for (v,) in complex_.simplices[0]:
         star = cover.star((v,))
-        local = star.sub.restrict(vals, k)
-        nu = star.solve_primitive(local, k)
-        resid = star.sub.coboundary_dense(k - 1) @ nu - local
-        if resid.size and float(np.max(np.abs(resid))) > max(tol, 1e-8):
-            raise Error("STAR_SOLVE_FAILURE",
-                        f"primitive residual {np.max(np.abs(resid)):.3e} "
-                        f"on star of vertex {v}")
-        members[v] = nu
+        members[v] = star.solve(star.sub.restrict(vals, k), k, limit)
     return LocalFamily(k - 1, members)
 
 
 def _cech_difference(cover, level_families, q, coeff_degree):
-    """Alternating sum of the level-(q-1) members on each q-overlap."""
-    complex_ = cover.complex
+    """Alternating sum of the level-(q-1) members on each q-overlap.
+
+    star(tau) lies inside star(face), and both index arrays are sorted
+    global indices, so searchsorted gives the positions to restrict by.
+    """
+    empty = np.zeros(0, dtype=int)
     out = {}
-    for tau in complex_.simplices[q]:
-        star_tau = cover.star(tau)
-        acc = np.zeros(star_tau.sub.n_simplices(coeff_degree))
+    for tau in cover.complex.simplices[q]:
+        local = cover.star(tau).sub.indices.get(coeff_degree, empty)
+        acc = np.zeros(local.size)
         for i in range(q + 1):
             face = tau[:i] + tau[i + 1:]
-            member = level_families[face]
-            face_star = cover.star(face)
-            # restrict from star(face) down to star(tau)
-            global_vals = np.zeros(complex_.n_simplices(coeff_degree))
-            global_vals[face_star.sub.indices[coeff_degree]] = member
-            acc += ((-1) ** i) * star_tau.sub.restrict(global_vals,
-                                                       coeff_degree)
+            outer = cover.star(face).sub.indices.get(coeff_degree, empty)
+            acc += ((-1) ** i) * level_families[face][
+                np.searchsorted(outer, local)]
         out[tau] = acc
     return out
 
@@ -145,14 +144,8 @@ def connecting_delta(cover, omega):
             break
         members = {}
         for tau, mu in diffs.items():
-            star = cover.star(tau)
-            nu = star.solve_primitive(mu, coeff_degree)
-            resid = star.sub.coboundary_dense(coeff_degree - 1) @ nu - mu
-            if resid.size and float(np.max(np.abs(resid))) > 1e-8 * (
-                    1.0 + float(np.max(np.abs(mu)))):
-                raise Error("STAR_SOLVE_FAILURE",
-                            f"descent solve failed on star of {tau}")
-            members[tau] = nu
+            limit = 1e-8 * (1.0 + float(np.max(np.abs(mu), initial=0.0)))
+            members[tau] = cover.star(tau).solve(mu, coeff_degree, limit)
         coeff_degree -= 1
 
     # level k: closed 0-cochains on connected stars are constants
@@ -167,8 +160,13 @@ def connecting_delta(cover, omega):
                 "VERDICT_INCONSISTENT",
                 f"descent output not constant on star of {tau}")
         values[complex_.index(tau)] = const
-    sign = _NERVE_SIGN.get(k, 1)
-    cocycle = Cochain(k, REAL, sign * values)
+    # Nerve sign.  The descent solves d(nu_p) = delta(nu_{p-1}) with no
+    # signs: d(nu_0) = omega, c = delta(nu_{k-1}).  In the tic-tac-toe
+    # double complex with D = delta + (-1)^p d (Bott-Tu, §9), alpha_p =
+    # e_p nu_p with e_0 = 1, e_p = (-1)^(p+1) e_{p-1} cancels every inner
+    # term of D(sum alpha_p), leaving omega + e_{k-1} c.  So omega and
+    # -e_{k-1} c = (-1)^(k(k+1)/2) c represent the same class.
+    cocycle = Cochain(k, REAL, (-1) ** (k * (k + 1) // 2) * values)
     coords = basis(complex_, k).coordinates(cocycle.values)
     return CechClass(k, cocycle, coords)
 

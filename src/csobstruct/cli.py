@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -322,10 +323,13 @@ def run(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise Error("BAD_PARAMETER",
+                        f"--tol must be finite and positive, got {tol}")
+        return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except InconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

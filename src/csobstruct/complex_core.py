@@ -27,6 +27,15 @@ def faces(simplex):
     return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
 
 
+def _closure(simplices, dim):
+    """Per degree 0..dim, the set of all faces of the given simplices."""
+    by_degree = [set() for _ in range(dim + 1)]
+    for s in simplices:
+        for r in range(1, len(s) + 1):
+            by_degree[r - 1].update(itertools.combinations(s, r))
+    return by_degree
+
+
 class SimplicialComplex:
     """Immutable simplicial complex with canonical per-degree orderings.
 
@@ -53,21 +62,7 @@ class SimplicialComplex:
                         f"declared dim {dim} does not match top simplices")
         self.dim = top_dim
 
-        # face closure
-        by_degree = [set() for _ in range(self.dim + 1)]
-        stack = list(tops)
-        for s in tops:
-            by_degree[len(s) - 1].add(s)
-        while stack:
-            s = stack.pop()
-            if len(s) == 1:
-                continue
-            for f in faces(s):
-                k = len(f) - 1
-                if f not in by_degree[k]:
-                    by_degree[k].add(f)
-                    stack.append(f)
-
+        by_degree = _closure(tops, self.dim)
         vertices = sorted(v for (v,) in by_degree[0])
         if vertices != list(range(len(vertices))):
             raise Error("DANGLING_VERTEX",
@@ -314,10 +309,7 @@ class Subcomplex:
 
     def restrict(self, values, k):
         """Restrict a global degree-k value array to this subcomplex."""
-        if self.n_simplices(k) == 0:
-            return np.zeros(0) if getattr(values, "dtype", None) != object \
-                else np.array([], dtype=object)
-        return values[self.indices[k]]
+        return values[self.indices.get(k, np.zeros(0, dtype=int))]
 
     def coboundary_dense(self, k):
         """Local d_k (rows: local (k+1)-simplices, cols: local k-simplices).
@@ -333,22 +325,6 @@ class Subcomplex:
             .astype(float)
 
 
-def _closure(parent, core):
-    by_degree = {}
-    seen = set()
-    for s in core:
-        for r in range(1, len(s) + 1):
-            for f in itertools.combinations(s, r):
-                seen.add(f)
-    for f in seen:
-        by_degree.setdefault(len(f) - 1, []).append(f)
-    simplices = {k: sorted(v) for k, v in by_degree.items()}
-    indices = {k: np.array([parent._index[k][s] for s in simplices[k]],
-                           dtype=int)
-               for k in simplices}
-    return Subcomplex(parent, simplices, indices)
-
-
 def star_subcomplex(complex_, v):
     """Closed star of a vertex, with local-to-global index maps."""
     if not 0 <= v < complex_.n_vertices:
@@ -356,14 +332,32 @@ def star_subcomplex(complex_, v):
     return star_of_simplex(complex_, (v,))
 
 
+def _top_cofaces(complex_):
+    """Simplex -> the given top simplices containing it, in one pass."""
+    cofaces = {}
+    for top in complex_._top_set:
+        for r in range(1, len(top) + 1):
+            for f in itertools.combinations(top, r):
+                cofaces.setdefault(f, []).append(top)
+    return cofaces
+
+
 def star_of_simplex(complex_, simplex):
-    """Closed star of a simplex: all cofaces of it, plus their faces."""
+    """Closed star of a simplex: the closure of the top simplices on it.
+
+    Every coface of s is a face of a given top simplex, which then
+    contains s, so those tops close up to the whole star.
+    """
     s = tuple(simplex)
     complex_.index(s)  # validates membership
-    sset = set(s)
-    core = [t for k in range(len(s) - 1, complex_.dim + 1)
-            for t in complex_.simplices[k] if sset.issubset(t)]
-    return _closure(complex_, core)
+    tops = complex_._memo("cofaces", lambda: _top_cofaces(complex_))[s]
+    indices = {k: np.array(sorted(complex_._index[k][f] for f in found),
+                           dtype=int)
+               for k, found in enumerate(_closure(tops, complex_.dim))
+               if found}
+    simplices = {k: [complex_.simplices[k][i] for i in ids]
+                 for k, ids in indices.items()}
+    return Subcomplex(complex_, simplices, indices)
 
 
 # -- interchange format ------------------------------------------------

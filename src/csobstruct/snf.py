@@ -18,13 +18,12 @@ class SNFResult:
     """Decomposition M = U @ S @ V with U, V unimodular, S diagonal.
 
     diag holds the invariant factors d_1 | d_2 | ... (nonnegative);
-    u_inv and v_inv are the exact inverses of U and V.
+    v_inv is the exact inverse of V.
     """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    u_inv: np.ndarray
     v_inv: np.ndarray
 
     @property
@@ -54,16 +53,14 @@ def smith_normal_form(M):
     m, n = S.shape
     U = np.array([[1 if i == j else 0 for j in range(m)] for i in range(m)],
                  dtype=object)
-    Uinv = U.copy()
     V = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
                  dtype=object)
     Vinv = V.copy()
 
-    # elementary operations, keeping M = U S V and the inverses in sync
+    # elementary operations, keeping M = U S V and V^-1 in sync
     def row_add(r, t, q):          # row r -= q * row t
         S[r, :] -= q * S[t, :]
         U[:, t] += q * U[:, r]
-        Uinv[r, :] -= q * Uinv[t, :]
 
     def col_add(c, t, q):          # col c -= q * col t
         S[:, c] -= q * S[:, t]
@@ -73,7 +70,6 @@ def smith_normal_form(M):
     def row_swap(a, b):
         S[[a, b], :] = S[[b, a], :]
         U[:, [a, b]] = U[:, [b, a]]
-        Uinv[[a, b], :] = Uinv[[b, a], :]
 
     def col_swap(a, b):
         S[:, [a, b]] = S[:, [b, a]]
@@ -83,7 +79,6 @@ def smith_normal_form(M):
     def row_negate(r):
         S[r, :] = -S[r, :]
         U[:, r] = -U[:, r]
-        Uinv[r, :] = -Uinv[r, :]
 
     for t in range(min(m, n)):
         while True:
@@ -91,7 +86,7 @@ def smith_normal_form(M):
             sub = S[t:, t:]
             nz = sub != 0
             if not nz.any():
-                return SNFResult(U, S, V, Uinv, Vinv)
+                return SNFResult(U, S, V, Vinv)
             mags = np.abs(sub)
             sentinel = mags.max() + 1
             mags = np.where(nz, mags, sentinel)
@@ -131,4 +126,4 @@ def smith_normal_form(M):
                 break
             row_add(t, offender, -1)  # row t += offending row, retry pivot
 
-    return SNFResult(U, S, V, Uinv, Vinv)
+    return SNFResult(U, S, V, Vinv)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Deliberately naive: textbook gcd-sweep diagonalization for invariant
-factors and fraction-free (Bareiss) elimination for ranks, sharing no
-code with the package's Smith normal form or basis machinery.
+factors and fraction-free (Bareiss) elimination for ranks and
+determinants, sharing no code with the package's Smith normal form or
+basis machinery.
 """
 
 
@@ -32,6 +33,29 @@ def exact_rank(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def exact_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each row swap flips the sign; the last pivot is the determinant of
+    the permuted matrix, every division exact as in exact_rank.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        p = m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[col])]
+        prev = p
+    return sign * prev
 
 
 def invariant_factors(rows):

@@ -1,10 +1,14 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
 import csobstruct as cs
 from csobstruct import cech
-from csobstruct.complex_core import Cochain
+from csobstruct.complex_core import Cochain, Subcomplex
 from csobstruct.errors import Error, InconsistencyError
+from csobstruct.manifolds import simplex_boundary
 from conftest import random_closed_cochain, random_real_cochain
 from oracles import exact_rank
 
@@ -41,6 +45,27 @@ class TestStarCover:
                     up = ranks[k] if k < sub.dim() else 0
                     down = ranks[k - 1] if k > 0 else 1  # reduced H^0
                     assert sub.n_simplices(k) - up - down == 0, (name, s, k)
+
+    def test_stars_match_brute_force(self, fixtures3d, sphere2):
+        """Each star is the closure of every simplex containing s."""
+        for name, K in {**fixtures3d, "sphere2": sphere2}.items():
+            everything = [t for k in range(K.dim + 1)
+                          for t in K.simplices[k]]
+            for s, star in cs.star_cover(K).stars.items():
+                closure = {f for t in everything if set(s) <= set(t)
+                           for r in range(1, len(t) + 1)
+                           for f in itertools.combinations(t, r)}
+                expect = {}
+                for f in sorted(closure):
+                    expect.setdefault(len(f) - 1, []).append(f)
+                sub = star.sub
+                assert sub.simplices == expect, (name, s)
+                for k, local in expect.items():
+                    assert sub.indices[k].tolist() == [K.index(f)
+                                                       for f in local]
+                    assert all(f is K.simplices[k][i]
+                               for f, i in zip(sub.simplices[k],
+                                               sub.indices[k]))
 
     def test_top_star_is_single_simplex(self, s3, covers):
         cover = covers["s3"]
@@ -126,16 +151,36 @@ class TestConnectingDelta:
         out = cs.connecting_delta(covers["s1xs2"], g)
         assert np.abs(np.abs(out.coordinates) - 1.0).max() < 1e-8
 
+    @pytest.mark.parametrize("name,k", [
+        ("s1xs2", 1), ("s1xs2", 2), ("t3", 1), ("t3", 2), ("s3", 3),
+        ("t3", 3), ("s1xs2", 3), ("rp3", 3), ("sphere2", 2),
+        ("s4", 4), ("s5", 5)])
+    def test_generators_keep_their_sign(self, name, k, request):
+        """The descended class of each generator is that generator."""
+        spheres = {"s4": 5, "s5": 6}   # boundary of the n-simplex
+        K = simplex_boundary(spheres[name]) if name in spheres \
+            else request.getfixturevalue(name)
+        cover = cs.star_cover(K)
+        b = cs.basis(K, k)
+        assert b.size
+        for g in b.representative_cochains():
+            expect = b.coordinates(g.values)
+            assert np.abs(expect).max() > 0.5
+            out = cs.connecting_delta(cover, g)
+            assert np.abs(out.coordinates - expect).max() < 1e-8, (name, k)
+            assert np.abs(b.coordinates(out.cocycle.values)
+                          - expect).max() < 1e-8, (name, k)
+
     def test_independent_of_local_primitive_choice(self, s3, monkeypatch):
         # shift every local solve by a kernel element of the local d; the
         # descended class may not change
         rng = np.random.default_rng(5)
         w = cs.apply_d(s3, random_real_cochain(rng, s3, 1))
         base = cs.connecting_delta(cs.star_cover(s3), w)
-        orig = cech._Star.solve_primitive
+        orig = cech._Star.solve
 
-        def perturbed(self, local_values, k):
-            nu = orig(self, local_values, k)
+        def perturbed(self, local_values, k, limit):
+            nu = orig(self, local_values, k, limit)
             d = self.sub.coboundary_dense(k - 1)
             if d.shape[1] and k - 1 >= 1:
                 import scipy.linalg
@@ -144,9 +189,28 @@ class TestConnectingDelta:
                     nu = nu + null @ rng.standard_normal(null.shape[1])
             return nu
 
-        monkeypatch.setattr(cech._Star, "solve_primitive", perturbed)
+        monkeypatch.setattr(cech._Star, "solve", perturbed)
         out = cs.connecting_delta(cs.star_cover(s3), w)
         assert np.abs(out.cocycle.values - base.cocycle.values).max() < 1e-7
+
+
+    def test_one_local_operator_per_star_and_degree(self, t3,
+                                                     monkeypatch):
+        """Solves and residual checks slice each local d only once."""
+        calls = collections.Counter()
+        orig = Subcomplex.coboundary_dense
+
+        def counted(self, k):
+            calls[id(self), k] += 1
+            return orig(self, k)
+
+        monkeypatch.setattr(Subcomplex, "coboundary_dense", counted)
+        rng = np.random.default_rng(8)
+        cover = cs.star_cover(t3)
+        for k in (1, 2, 3):
+            cs.connecting_delta(cover, random_closed_cochain(rng, t3, k))
+        cs.current_globality(cover, random_closed_cochain(rng, t3, 2))
+        assert calls and max(calls.values()) == 1
 
 
 class TestCurrentGlobality:

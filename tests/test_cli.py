@@ -130,6 +130,23 @@ class TestPrimitive:
         assert "PARSE_ERROR" in err
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_is_bad_parameter(self, capsys, paths, tol):
+        for argv in (["primitive", paths["s1xs2"], paths["fiber_s1xs2"]],
+                     ["sharpness", paths["t3"], paths["trivial_t3"]]):
+            err = report(capsys, argv + ["--tol", tol], expect=1)
+            assert "BAD_PARAMETER" in err, argv
+
+    def test_good_tol_accepted(self, capsys, paths):
+        r = report(capsys, ["primitive", paths["s1xs2"],
+                            paths["fiber_s1xs2"], "--tol", "1e-6"])
+        assert not r["exact"]
+        r = report(capsys, ["sharpness", paths["t3"], paths["trivial_t3"],
+                            "--tol", "1e-6"])
+        assert r["flat_exists"]
+
+
 class TestPairingChern:
     def test_pairing_t3(self, capsys, paths):
         r = report(capsys, ["pairing", paths["t3"], "--degree", "1"])
@@ -200,6 +217,15 @@ class TestCech:
         r = report(capsys, ["cech-delta", paths["s1xs2"],
                             paths["fiber_s1xs2"]])
         assert r["max_disagreement"] < 1e-8
+
+    def test_delta_degree_three_sign(self, capsys, paths, s3):
+        g = cs.basis(s3, 3).representative_cochains()[0]
+        p = paths["root"] / "top_s3.json"
+        p.write_text(dump_cochain(g) + "\n")
+        r = report(capsys, ["cech-delta", paths["s3"], str(p)])
+        assert r["cech_degree"] == 3
+        assert r["max_disagreement"] == 0
+        assert r["cech_coordinates"] == r["simplicial_coordinates"]
 
     def test_current_globalizable(self, capsys, paths):
         r = report(capsys, ["current", paths["s3"], paths["exact2_s3"]])
