@@ -4,48 +4,49 @@ The cover's overlaps are the closed stars of simplices (the star of a
 simplex is contained in the star of each of its faces), so the nerve is
 the complex itself and a fully descended Cech cocycle with constant
 coefficients is literally a simplicial cochain.  Each descent level
-solves local primitives on acyclic stars by least squares, with each
-star's local coboundary and pseudo-inverse built once per degree.
+takes local primitives by the cone homotopy: the closed star of a simplex
+is a cone on any vertex of it, so a closed local cochain has an explicit
+primitive (the Poincare lemma, Bott-Tu §4) and no system is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
 from .complex_core import Cochain, REAL, star_of_simplex
 from .errors import Error, InconsistencyError
-from .homology import (basis, find_primitive, require_closed,
-                       _closedness_tol)
+from .homology import basis, find_primitive, require_closed
 
 CECH_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Star:
-    """Closed star of one simplex with its local operators per degree."""
+    """Closed star of one simplex, a cone on the simplex's first vertex."""
 
     simplex: tuple
     sub: object                       # Subcomplex
-    _ops: dict = field(default_factory=dict)
 
-    def solve(self, values, k, limit):
-        """Local beta with d(beta) = values in degree k; beta has degree k-1.
+    def solve(self, values, k):
+        """Cone primitive h of a closed local k-cochain w, k >= 1.
 
-        The local d_{k-1} and its pseudo-inverse are built once per degree;
-        a residual above limit is a STAR_SOLVE_FAILURE.
+        With apex v = simplex[0], h(tau) = (-1)^j w(tau with v inserted at
+        position j) for tau not on v, and 0 for tau on v.  Every tau + v is
+        in the star, and d(h) = w - h(dw): exact when w is closed.
         """
-        if k - 1 not in self._ops:
-            d = self.sub.coboundary_dense(k - 1)
-            self._ops[k - 1] = (d, np.linalg.pinv(d))
-        d, pinv = self._ops[k - 1]
-        beta = pinv @ values
-        resid = float(np.max(np.abs(d @ beta - values), initial=0.0))
-        if resid > limit:
-            raise Error("STAR_SOLVE_FAILURE", f"primitive residual "
-                        f"{resid:.3e} on star of {self.simplex}")
-        return beta
+        v, index = self.simplex[0], self.sub.parent._index[k]
+        taus = self.sub.simplices.get(k - 1, [])
+        rows = [r for r, tau in enumerate(taus) if v not in tau]
+        at = np.array([bisect.bisect(taus[r], v) for r in rows], dtype=int)
+        cofaces = [index[taus[r][:j] + (v,) + taus[r][j:]]
+                   for r, j in zip(rows, at.tolist())]
+        out = np.zeros(len(taus))
+        out[rows] = (-1.0) ** at * values[
+            np.searchsorted(self.sub.indices.get(k, []), cofaces)]
+        return out
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,13 @@ def local_primitives(cover, omega):
     complex_ = cover.complex
     require_closed(complex_, omega)
     k = omega.degree
-    if k < 1:
-        raise Error("DEGREE_OUT_OF_RANGE", "local primitives need degree >= 1")
+    if not 1 <= k <= complex_.dim:
+        raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
     vals = omega.as_float()
-    limit = max(_closedness_tol(vals) * 10, 1e-8)
     members = {}
     for (v,) in complex_.simplices[0]:
         star = cover.star((v,))
-        members[v] = star.solve(star.sub.restrict(vals, k), k, limit)
+        members[v] = star.solve(star.sub.restrict(vals, k), k)
     return LocalFamily(k - 1, members)
 
 
@@ -137,22 +137,17 @@ def connecting_delta(cover, omega):
     k = omega.degree
     fam = local_primitives(cover, omega)
     members = {(v,): nu for v, nu in fam.members.items()}
-    coeff_degree = k - 1
     for q in range(1, k + 1):
-        diffs = _cech_difference(cover, members, q, coeff_degree)
+        # level q holds degree k-q local cochains on the q-overlaps
+        diffs = _cech_difference(cover, members, q, k - q)
         if q == k:
             break
-        members = {}
-        for tau, mu in diffs.items():
-            limit = 1e-8 * (1.0 + float(np.max(np.abs(mu), initial=0.0)))
-            members[tau] = cover.star(tau).solve(mu, coeff_degree, limit)
-        coeff_degree -= 1
+        members = {tau: cover.star(tau).solve(mu, k - q)
+                   for tau, mu in diffs.items()}
 
     # level k: closed 0-cochains on connected stars are constants
     values = np.zeros(complex_.n_simplices(k))
     for tau, mu in diffs.items():
-        if mu.size == 0:
-            raise Error("STAR_SOLVE_FAILURE", f"empty star of {tau}")
         const = float(np.mean(mu))
         spread = float(np.max(np.abs(mu - const)))
         if spread > CECH_TOL * (1.0 + abs(const)):
@@ -171,7 +166,7 @@ def connecting_delta(cover, omega):
     return CechClass(k, cocycle, coords)
 
 
-def current_globality(cover, omega, tol=CECH_TOL):
+def current_globality(cover, omega):
     """Globality verdict for a closed (n-1)-current, both routes compared.
 
     Route one: the descent class above.  Route two: the simplicial class
@@ -185,7 +180,7 @@ def current_globality(cover, omega, tol=CECH_TOL):
     cech = connecting_delta(cover, omega)
     prim = find_primitive(complex_, omega)
     cech_zero = (cech.coordinates.size == 0
-                 or float(np.max(np.abs(cech.coordinates))) <= tol)
+                 or float(np.max(np.abs(cech.coordinates))) <= CECH_TOL)
     if cech_zero != prim.exact:
         raise InconsistencyError(
             "VERDICT_INCONSISTENT",

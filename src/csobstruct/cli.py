@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -190,8 +189,7 @@ def _cmd_sharpness(args):
     complex_, cdig = _load_complex_arg(args.complex)
     c, odig = _load_cochain_arg(args.cocycle)
     b = bundle_mod.make_bundle(complex_, c)
-    verdict = obstruction_mod.sharpness_check(
-        complex_, b, tol=args.tol or obstruction_mod.PAIRING_TOL)
+    verdict = obstruction_mod.sharpness_check(complex_, b, tol=args.tol)
     report = {"command": "sharpness", "inputs": [cdig, odig],
               "bundle_id": verdict.bundle_id,
               "flat_exists": verdict.flat_exists,
@@ -323,10 +321,7 @@ def run(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise Error("BAD_PARAMETER",
-                        f"--tol must be finite and positive, got {tol}")
+        homology_mod.check_tol(getattr(args, "tol", None))
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

@@ -311,19 +311,6 @@ class Subcomplex:
         """Restrict a global degree-k value array to this subcomplex."""
         return values[self.indices.get(k, np.zeros(0, dtype=int))]
 
-    def coboundary_dense(self, k):
-        """Local d_k (rows: local (k+1)-simplices, cols: local k-simplices).
-
-        Valid because the subcomplex is closed under faces: every face of a
-        local (k+1)-simplex is itself local, so slicing the global matrix
-        gives the subcomplex coboundary.
-        """
-        if self.n_simplices(k + 1) == 0 or self.n_simplices(k) == 0:
-            return np.zeros((self.n_simplices(k + 1), self.n_simplices(k)))
-        d = self.parent.coboundary_matrix(k)
-        return d[self.indices[k + 1], :][:, self.indices[k]].toarray() \
-            .astype(float)
-
 
 def star_subcomplex(complex_, v):
     """Closed star of a vertex, with local-to-global index maps."""

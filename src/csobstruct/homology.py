@@ -12,6 +12,7 @@ classes exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,20 +201,27 @@ def basis(complex_, k):
 # -- exactness and primitives -----------------------------------------
 
 
+def check_tol(tol, default=None):
+    """A caller's tolerance, default for None; else finite and > 0."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise Error("BAD_PARAMETER", f"tol {tol} must be finite and > 0")
+    return default if tol is None else tol
+
+
 def _closedness_tol(values):
     norm = float(np.max(np.abs(np.asarray(
         [float(v) for v in values])))) if len(values) else 0.0
     return max(EXACT_ABS_TOL, EXACT_REL_TOL * norm)
 
 
-def require_closed(complex_, cochain, tol=None):
+def require_closed(complex_, cochain):
     if cochain.degree == complex_.dim and \
             len(cochain.values) != complex_.n_simplices(cochain.degree):
         raise Error("BASE_MISMATCH", "cochain length does not match complex")
     if cochain.degree >= complex_.dim:
         return  # top degree: closed by convention
     dv = apply_d(complex_, cochain).as_float()
-    limit = tol if tol is not None else _closedness_tol(cochain.values)
+    limit = _closedness_tol(cochain.values)
     if dv.size and not float(np.max(np.abs(dv))) <= limit:  # NaN fails
         raise Error("NOT_CLOSED",
                     f"coboundary norm {np.max(np.abs(dv)):.3e} exceeds {limit:.3e}")
@@ -235,10 +243,10 @@ def find_primitive(complex_, cochain, tol=None):
     Least squares on the coboundary; any minimizer is acceptable since
     primitives are only defined up to the kernel of d.
     """
+    limit = check_tol(tol, _closedness_tol(cochain.values))
     require_closed(complex_, cochain)
     k = cochain.degree
     vals = cochain.as_float()
-    limit = tol if tol is not None else _closedness_tol(cochain.values)
     coords = basis(complex_, k).coordinates(vals)
     if coords.size and float(np.max(np.abs(coords))) > limit:
         return PrimitiveResult(None, coords)

@@ -18,7 +18,7 @@ from .bundle import curvature, flatten
 from .complex_core import Cochain, REAL
 from .cup import cup, pair_with_fundamental
 from .errors import Error, InconsistencyError
-from .homology import basis, require_closed
+from .homology import basis, check_tol, require_closed
 
 PAIRING_TOL = 1e-6
 
@@ -71,6 +71,7 @@ class SharpnessVerdict:
 def sharpness_check(complex_, bundle, tol=PAIRING_TOL):
     """Theorem-2 verdict: flat connection exists iff every H^1-basis
     pairing vanishes; otherwise a witness symmetry is returned."""
+    tol = check_tol(tol, PAIRING_TOL)
     if bundle.base is not complex_:
         raise Error("BASE_MISMATCH", "bundle lives on a different complex")
     flat = flatten(bundle)

@@ -1,10 +1,28 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Deliberately naive: textbook gcd-sweep diagonalization for invariant
-factors and fraction-free (Bareiss) elimination for ranks and
-determinants, sharing no code with the package's Smith normal form or
-basis machinery.
+factors, fraction-free (Bareiss) elimination for ranks and
+determinants, and the alternating-face rule for local coboundaries,
+sharing no code with the package's Smith normal form, basis or
+coboundary machinery.
 """
+
+import numpy as np
+
+
+def local_coboundary(sub, k):
+    """Integer d_k of a face-closed subcomplex, from its simplex lists.
+
+    Rows are the subcomplex's (k+1)-simplices and columns its k-simplices,
+    each in the order of sub.simplices; dropping vertex i gives sign (-1)^i.
+    """
+    rows = sub.simplices.get(k + 1, [])
+    cols = {s: j for j, s in enumerate(sub.simplices.get(k, []))}
+    m = [[0] * len(cols) for _ in rows]
+    for r, tau in enumerate(rows):
+        for i in range(len(tau)):
+            m[r][cols[tau[:i] + tau[i + 1:]]] += (-1) ** i
+    return np.array(m, dtype=int).reshape(len(rows), len(cols))
 
 
 def exact_rank(rows):

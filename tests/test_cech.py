@@ -1,4 +1,3 @@
-import collections
 import itertools
 
 import numpy as np
@@ -6,11 +5,12 @@ import pytest
 
 import csobstruct as cs
 from csobstruct import cech
-from csobstruct.complex_core import Cochain, Subcomplex
+from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error, InconsistencyError
 from csobstruct.manifolds import simplex_boundary
-from conftest import random_closed_cochain, random_real_cochain
-from oracles import exact_rank
+from conftest import (random_closed_cochain, random_int_cocycle,
+                      random_real_cochain)
+from oracles import exact_rank, local_coboundary
 
 
 class TestStarCover:
@@ -39,7 +39,7 @@ class TestStarCover:
         for name, K in fixtures3d.items():
             for s, star in cs.star_cover(K).stars.items():
                 sub = star.sub
-                ranks = [exact_rank(sub.coboundary_dense(k).astype(int))
+                ranks = [exact_rank(local_coboundary(sub, k))
                          for k in range(sub.dim())]
                 for k in range(sub.dim() + 1):
                     up = ranks[k] if k < sub.dim() else 0
@@ -99,8 +99,30 @@ class TestLocalPrimitives:
         for v, nu in fam.members.items():
             star = cover.star((v,))
             local = star.sub.restrict(vals, 2)
-            resid = star.sub.coboundary_dense(1) @ nu - local
+            resid = local_coboundary(star.sub, 1) @ nu - local
             assert np.abs(resid).max() < 1e-8
+
+    def test_cone_primitive_is_exact(self, fixtures3d):
+        """d(h w) = w with no rounding on every (star, k-simplex) pair,
+        and integer cocycles descend to integer Cech cocycles."""
+        rng = np.random.default_rng(9)
+        pairs = 0
+        for name, K in fixtures3d.items():
+            cover = cs.star_cover(K)
+            for k in (1, 2, 3):
+                w = random_int_cocycle(rng, K, k)
+                vals = w.as_float()
+                for s, star in cover.stars.items():
+                    if not star.sub.n_simplices(k):
+                        continue
+                    local = star.sub.restrict(vals, k)
+                    h = star.solve(local, k)
+                    d = local_coboundary(star.sub, k - 1)
+                    assert np.array_equal(d @ h, local), (name, k, s)
+                    pairs += local.size
+                out = cs.connecting_delta(cover, w).cocycle.values
+                assert np.array_equal(out, np.round(out)), (name, k)
+        assert pairs == 44492
 
 
 class TestConnectingDelta:
@@ -171,46 +193,72 @@ class TestConnectingDelta:
             assert np.abs(b.coordinates(out.cocycle.values)
                           - expect).max() < 1e-8, (name, k)
 
-    def test_independent_of_local_primitive_choice(self, s3, monkeypatch):
-        # shift every local solve by a kernel element of the local d; the
-        # descended class may not change
+    def test_independent_of_local_primitive_choice(self, s3, s1xs2, t3,
+                                                   monkeypatch):
+        """Shift the local primitive at every level by d of a random local
+        cochain (a constant in degree 0): the class may not move, and the
+        descended cocycle moves by an exact cochain."""
         rng = np.random.default_rng(5)
-        w = cs.apply_d(s3, random_real_cochain(rng, s3, 1))
-        base = cs.connecting_delta(cs.star_cover(s3), w)
+        cases = []
+        for K in (s3, s1xs2, t3):
+            cover = cs.star_cover(K)
+            for k in (1, 2, 3):
+                w = random_closed_cochain(rng, K, k)
+                cases.append((K, cover, w, cs.connecting_delta(cover, w)))
         orig = cech._Star.solve
 
-        def perturbed(self, local_values, k, limit):
-            nu = orig(self, local_values, k, limit)
-            d = self.sub.coboundary_dense(k - 1)
-            if d.shape[1] and k - 1 >= 1:
-                import scipy.linalg
-                null = scipy.linalg.null_space(d)
-                if null.shape[1]:
-                    nu = nu + null @ rng.standard_normal(null.shape[1])
-            return nu
+        def perturbed(self, values, k):
+            nu = orig(self, values, k)
+            if k == 1:
+                return nu + rng.standard_normal()
+            x = rng.standard_normal(self.sub.n_simplices(k - 2))
+            return nu + local_coboundary(self.sub, k - 2) @ x
 
         monkeypatch.setattr(cech._Star, "solve", perturbed)
-        out = cs.connecting_delta(cs.star_cover(s3), w)
-        assert np.abs(out.cocycle.values - base.cocycle.values).max() < 1e-7
+        shift = 0.0
+        for K, cover, w, base in cases:
+            out = cs.connecting_delta(cover, w)
+            k = w.degree
+            if base.coordinates.size:
+                assert np.abs(out.coordinates
+                              - base.coordinates).max() < 1e-8, k
+            moved = Cochain(k, "real",
+                            out.cocycle.values - base.cocycle.values)
+            assert cs.find_primitive(K, moved).exact, k
+            shift = max(shift, np.abs(moved.values).max())
+        assert shift > 1.0   # the perturbation does move the cocycle
 
+    @pytest.mark.parametrize("tops", [
+        [(0, 1, 2), (2, 3)],
+        [(0, 1, 2, 3), (3, 4), (4, 5, 6)],
+        [(0, 1, 2), (1, 2, 3), (0, 3), (3, 4, 5)]])
+    def test_non_pure_complex(self, tops):
+        """Stars that lack the degrees of a solve give empty primitives."""
+        K = cs.SimplicialComplex(tops)
+        cover = cs.star_cover(K)
+        rng = np.random.default_rng(10)
+        for k in range(1, K.dim + 1):
+            w = cs.apply_d(K, random_real_cochain(rng, K, k - 1))
+            out = cs.connecting_delta(cover, w)
+            assert np.abs(out.coordinates).max(initial=0.0) < 1e-8, k
+        b = cs.basis(K, 1)
+        for g in b.representative_cochains():
+            out = cs.connecting_delta(cover, g)
+            assert np.abs(out.coordinates
+                          - b.coordinates(g.values)).max() < 1e-8
 
-    def test_one_local_operator_per_star_and_degree(self, t3,
-                                                     monkeypatch):
-        """Solves and residual checks slice each local d only once."""
-        calls = collections.Counter()
-        orig = Subcomplex.coboundary_dense
-
-        def counted(self, k):
-            calls[id(self), k] += 1
-            return orig(self, k)
-
-        monkeypatch.setattr(Subcomplex, "coboundary_dense", counted)
+    def test_descent_solves_no_linear_system(self, t3, monkeypatch):
+        """Local primitives come from the cone homotopy alone."""
         rng = np.random.default_rng(8)
         cover = cs.star_cover(t3)
-        for k in (1, 2, 3):
-            cs.connecting_delta(cover, random_closed_cochain(rng, t3, k))
-        cs.current_globality(cover, random_closed_cochain(rng, t3, 2))
-        assert calls and max(calls.values()) == 1
+        inputs = [random_closed_cochain(rng, t3, k) for k in (1, 2, 3)]
+        calls = []
+        for fn in ("pinv", "lstsq"):
+            monkeypatch.setattr(np.linalg, fn,
+                                lambda *a, _fn=fn, **kw: calls.append(_fn))
+        for w in inputs:
+            cs.connecting_delta(cover, w)
+        assert not calls
 
 
 class TestCurrentGlobality:

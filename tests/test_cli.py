@@ -227,6 +227,13 @@ class TestCech:
         assert r["max_disagreement"] == 0
         assert r["cech_coordinates"] == r["simplicial_coordinates"]
 
+    @pytest.mark.parametrize("degree", [0, 4])
+    def test_delta_degree_out_of_range(self, capsys, paths, s3, degree):
+        p = paths["root"] / f"deg{degree}_s3.json"
+        p.write_text(dump_cochain(Cochain.zeros(s3, degree, "int")) + "\n")
+        err = report(capsys, ["cech-delta", paths["s3"], str(p)], expect=1)
+        assert "DEGREE_OUT_OF_RANGE" in err
+
     def test_current_globalizable(self, capsys, paths):
         r = report(capsys, ["current", paths["s3"], paths["exact2_s3"]])
         assert r["globalizable"] and "current" in r

@@ -153,6 +153,13 @@ class TestFindPrimitive:
             cs.find_primitive(s3, Cochain(3, "real", np.ones(1)))
         assert e.value.code == "BASE_MISMATCH"
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_tol_is_bad_parameter(self, s1xs2, tol):
+        g = cs.basis(s1xs2, 2).representative_cochains()[0]
+        with pytest.raises(Error) as e:
+            cs.find_primitive(s1xs2, g, tol=tol)
+        assert e.value.code == "BAD_PARAMETER"
+
     def test_not_closed_rejected(self, s3):
         rng = np.random.default_rng(7)
         w = random_real_cochain(rng, s3, 1)

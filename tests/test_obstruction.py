@@ -148,6 +148,13 @@ class TestSharpness:
         assert v.flat_exists
         assert v.all_pairings.size == 0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_tol_is_bad_parameter(self, s3, s1xs2, tol):
+        for K in (s3, s1xs2):
+            with pytest.raises(Error) as e:
+                cs.sharpness_check(K, trivial(K), tol=tol)
+            assert e.value.code == "BAD_PARAMETER"
+
     def test_biconditional_randomized(self, t3, s1xs2):
         rng = np.random.default_rng(5)
         for K in (t3, s1xs2):
