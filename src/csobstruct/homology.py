@@ -43,12 +43,6 @@ def _check_degree(complex_, k):
         raise Error("DEGREE_OUT_OF_RANGE", f"k={k}, dim={complex_.dim}")
 
 
-def _d_dense_int(complex_, k):
-    """d_k as an object-int array."""
-    return np.array(complex_.coboundary_matrix(k).toarray().tolist(),
-                    dtype=object)
-
-
 def homology_groups(complex_, k, coefficients=REAL):
     """Cohomology group H^k.
 
@@ -101,19 +95,38 @@ def _reduce(complex_, k):
     a second SNF, of V[r:, :] @ d_{k-1}, splits H^k.  At k = dim-1,
     ker d_{k+1} is all of C^{k+1}, so the SNF of d_k itself splits
     H^{k+1}.  Memoized per complex and degree.
+
+    Both SNFs run on int64 under the overflow guard of snf.py, falling
+    back to Python ints if an entry outgrows it; the product is summed
+    over the nonzeros of V[r:, :] in Python ints (_sparse_product).
     """
     def build():
-        res = smith_normal_form(_d_dense_int(complex_, k))
+        res = smith_normal_form(complex_.coboundary_matrix(k).toarray())
         r = res.rank
         kernel = res.v_inv[:, r:]
         if k == 0 or kernel.shape[1] == 0:
             here = [kernel[:, i] for i in range(kernel.shape[1])], []
         else:
-            coords = res.V[r:, :] @ _d_dense_int(complex_, k - 1)
+            coords = _sparse_product(
+                res.V[r:, :], complex_.coboundary_matrix(k - 1).toarray())
             here = _quotient_generators(smith_normal_form(coords), kernel)
         above = _quotient_generators(res) if k == complex_.dim - 1 else None
         return here, above
     return complex_._memo(("generators", k), build)
+
+
+def _sparse_product(A, B):
+    """A @ B in Python ints, summed over the nonzeros of A only.
+
+    A is V[r:, :], which has one nonzero per row on every fixture, so
+    this skips the dense product's work on zeros; being on Python ints
+    it is exact and needs no overflow guard.
+    """
+    B = B.astype(object)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=object)
+    for i, j in zip(*np.nonzero(A)):
+        out[i] += A[i, j] * B[j]
+    return out
 
 
 def _quotient_generators(res, lattice=None):

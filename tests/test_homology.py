@@ -47,6 +47,22 @@ def test_s3_connected(s3):
 class TestIntegralGenerators:
     # sha256 of the free and torsion generator vectors, per degree
     DIGESTS = {
+        ("s3", 0): "8250dc8c12578b8b1ee391fa0afab0e3"
+                   "92dee00ac7519ab83727266909fbedae",
+        ("s3", 1): "0d22570de4d57363af2e7db1de568ed4"
+                   "06f9b63fe4443af1ceeb91aee4c7eb11",
+        ("s3", 2): "0d22570de4d57363af2e7db1de568ed4"
+                   "06f9b63fe4443af1ceeb91aee4c7eb11",
+        ("s3", 3): "24297e86c2af30da024050e3b5c4b6f3"
+                   "4f52146a35e67bbea9419d1cc10e0e74",
+        ("t3", 0): "535427a1fd6908c3bb130af2c2218980"
+                   "34b4de2fadcecb77d51b25a65a569104",
+        ("t3", 1): "89f2f66d05ce4440de8e56517960f4bf"
+                   "9288abbcb7419f2ee116a20ee6780a21",
+        ("t3", 2): "9287a3d00a77188e0063c4b31f2a4e51"
+                   "319208cc287c3d2f9da8ce8734692fad",
+        ("t3", 3): "ef451977b71923ea69a30d030abfc1f2"
+                   "35406af1d6faa4bb4188f8d259b29451",
         ("s1xs2", 0): "e4fd999554a6de816456029e2cd5b39e"
                       "14836c1e7d2263aba06025fa0fae9b87",
         ("s1xs2", 1): "c76f8504c56adac15adf9fa0d6125214"
@@ -65,9 +81,10 @@ class TestIntegralGenerators:
                     "b0cfc802f255f4afe94cfed7e4dedbb3",
     }
 
-    def test_generators_do_not_move(self, s1xs2, rp3):
+    def test_generators_do_not_move(self, s3, t3, s1xs2, rp3):
         """Every report reads these exact vectors; they stay bit-stable."""
-        for name, K in (("s1xs2", s1xs2), ("rp3", rp3)):
+        for name, K in (("s3", s3), ("t3", t3), ("s1xs2", s1xs2),
+                        ("rp3", rp3)):
             for k in range(K.dim + 1):
                 free, tors = cs.integral_generators(K, k)
                 doc = {"free": [[int(x) for x in g] for g in free],

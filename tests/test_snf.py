@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 
+import csobstruct as cs
+from csobstruct import snf
 from csobstruct.snf import smith_normal_form
 from oracles import exact_det, invariant_factors
 
@@ -8,9 +11,36 @@ def as_int(M):
     return np.array([[int(x) for x in row] for row in M], dtype=object)
 
 
+def assert_same(a, b):
+    for f in ("U", "S", "V", "v_inv"):
+        x, y = getattr(a, f), getattr(b, f)
+        assert x.dtype == y.dtype == object and x.shape == y.shape, f
+        assert all(type(v) is int for v in x.ravel()), f
+        assert (x == y).all(), f
+
+
+def python_int_run(M):
+    """The reduction body forced onto Python ints."""
+    return snf._smith(as_int(M), object)
+
+
+def spy_on_body(monkeypatch):
+    """Record (input, dtype) of every run of the reduction body."""
+    runs = []
+    body = snf._smith
+
+    def spy(A, dtype):
+        runs.append((A.copy(), dtype))
+        return body(A, dtype)
+
+    monkeypatch.setattr(snf, "_smith", spy)
+    return runs
+
+
 def check_decomposition(M):
     M = as_int(M)
     res = smith_normal_form(M)
+    assert_same(res, python_int_run(M))
     assert (res.U @ res.S @ res.V == M).all()
     assert abs(exact_det(res.U.tolist())) == 1
     n = M.shape[1]
@@ -91,3 +121,36 @@ def test_kernel_coordinates_roundtrip():
         C = as_int(rng.integers(-4, 5, size=(kb.shape[1], 2)))
         Y = kb @ C
         assert (res.V[res.rank:, :] @ Y == C).all()
+
+
+@pytest.mark.parametrize("M, dtypes", [
+    # an entry past the guard: straight to Python ints
+    ([[2**40, 3], [5, 2**41 + 1]], [object]),
+    (np.array([[-2**63, 1], [3, 2**62]], dtype=np.int64), [object]),
+    # entries under the guard whose reduction grows past it, and past
+    # int64: diag [1, 1, (2**31 - 1)(2**31 - 3)(2**31 - 5)]
+    ([[2**31 - 1, 0, 0], [0, 2**31 - 3, 0], [0, 0, 2**31 - 5]],
+     [np.int64, object]),
+])
+def test_fallback_is_exact(monkeypatch, M, dtypes):
+    runs = spy_on_body(monkeypatch)
+    res = smith_normal_form(M)
+    monkeypatch.undo()
+    assert [dtype for _, dtype in runs] == dtypes
+    assert_same(res, python_int_run(M))
+    check_decomposition(M)
+
+
+def test_fixture_matrices_stay_on_int64(monkeypatch):
+    """Every d_k and every coordinate matrix of the 3-d fixtures reduces
+    on int64, with no fallback, to the Python-int run's transforms."""
+    runs = spy_on_body(monkeypatch)
+    for name in ("s3", "s1xs2", "t3", "rp3"):
+        K = cs.generate(name)
+        for k in range(K.dim + 1):
+            cs.integral_generators(K, k)
+    monkeypatch.undo()
+    assert len(runs) == 12 + 8  # every d_k, and the coordinate matrices
+    for A, dtype in runs:
+        assert dtype is np.int64
+        assert_same(snf._smith(A, np.int64), python_int_run(A))
