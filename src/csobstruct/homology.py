@@ -96,9 +96,12 @@ def _reduce(complex_, k):
     ker d_{k+1} is all of C^{k+1}, so the SNF of d_k itself splits
     H^{k+1}.  Memoized per complex and degree.
 
-    Both SNFs run on int64 under the overflow guard of snf.py, falling
-    back to Python ints if an entry outgrows it; the product is summed
-    over the nonzeros of V[r:, :] in Python ints (_sparse_product).
+    Both SNFs are the sparse replay of snf.py: S in sparse rows, pivots
+    taken by the dense rule (first minimal |entry|, row-major), each
+    touching only its row's and column's nonzeros, and dense transforms
+    on int64 under an overflow guard, rerun on Python ints if an entry
+    outgrows it, so both are exact.  The product is summed over the
+    nonzeros of V[r:, :] in Python ints (_sparse_product).
     """
     def build():
         res = smith_normal_form(complex_.coboundary_matrix(k).toarray())

@@ -1,7 +1,8 @@
 """Generators for the standard closed oriented test manifolds.
 
-S3 and SPHERE2 are simplex boundaries, CIRCLE(n) an n-gon, T3 and S1xS2
-come from the staircase (shuffle) triangulation of products of those, and
+S3 and SPHERE2 are simplex boundaries, CIRCLE(n) an n-gon, T3(n) (T3 is
+T3(3)) and S1xS2 come from the staircase (shuffle) triangulation of
+products of those, and
 RP3 is the antipodal quotient of the barycentrically subdivided boundary
 of the 4-dimensional cross-polytope.
 """
@@ -123,6 +124,12 @@ def rp3():
 
 
 _CIRCLE_RE = re.compile(r"^circle\((\d+)\)$")
+_T3_RE = re.compile(r"^t3\((\d+)\)$")
+
+
+def _torus3(n):
+    """The 3-torus C_n x C_n x C_n: n**3 vertices, 6 n**3 tetrahedra."""
+    return ordered_product(ordered_product(circle(n), circle(n)), circle(n))
 
 
 def generate(name):
@@ -133,8 +140,7 @@ def generate(name):
     if key == "s3":
         return _oriented(simplex_boundary(4))
     if key == "t3":
-        t2 = ordered_product(circle(3), circle(3))
-        return ordered_product(t2, circle(3))
+        return _torus3(3)
     if key == "s1xs2":
         return ordered_product(circle(3), _oriented(simplex_boundary(3)))
     if key == "rp3":
@@ -142,4 +148,7 @@ def generate(name):
     m = _CIRCLE_RE.match(key)
     if m:
         return circle(int(m.group(1)))
+    m = _T3_RE.match(key)
+    if m:
+        return _torus3(int(m.group(1)))
     raise Error("UNKNOWN_NAME", f"unknown manifold name {name!r}")

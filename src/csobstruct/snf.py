@@ -1,13 +1,27 @@
 """Smith normal form over the integers with unimodular transforms.
 
-One elimination body runs on numpy arrays of a given dtype, so row and
-column operations stay vectorized.  It runs first on int64 under an
-overflow guard; if an entry would outgrow the guard, the whole reduction
-reruns in the same body on Python ints (arbitrary precision, object
-arrays), so the result is exact either way and, the arithmetic being
-exact in both, bit for bit the same.  Pivoting picks the smallest nonzero
-entry of the remaining block, which keeps entry growth tame on
-incidence-style matrices.
+The reduction is a sparse replay of dense elimination: it performs the
+same elementary operations in the same order, so it returns the same U,
+S, V and v_inv bit for bit (tests/oracles.py keeps the dense form as the
+reference).  Step t pivots on the first minimal-|entry| nonzero of the
+remaining block, in row-major order of the current positions (a row
+walk that stops at the first +-1, taking its leftmost one; a full scan
+only when no unit is left), swaps it to (t, t), makes it positive and
+clears its column and row by floor-quotient operations, again while
+remainders are left; a pivot other than 1 that does not divide the rest
+of the block has the first offending row added to its row, and the step
+starts again.  Small pivots keep entry growth tame on incidence-style
+matrices.
+
+S is held as one dict of nonzeros per row plus a column-to-rows index,
+so a swap only updates permutation maps and a step touches only the
+nonzeros of its pivot row and column.  The transforms stay dense, and
+each sweep applies its row or column operations to them as one product:
+the operations of a sweep commute, as each reads only the pivot row or
+column, which the sweep never writes.  They run on int64 under the
+overflow guard below; if an entry would outgrow it, the whole reduction
+reruns in the same body on Python ints (object arrays), so the result is
+exact either way and, the arithmetic being exact in both, the same.
 """
 
 from __future__ import annotations
@@ -17,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # int64 guard: every entry of S, U, V and v_inv stays below this in
-# magnitude (checked on each vector an update writes).  An update then
-# reads only such entries, and its multiplier q = S[r, t] // piv (or -1)
-# obeys |q| <= |S[r, t]| < 2**31, so |a - q*b| < 2**31 + 2**62 < 2**63
-# and no int64 operation can overflow.
+# magnitude, checked on every entry of S written and on every transform
+# entry a sweep's product writes.  Before the product, the sweep's
+# multipliers must have sum(|q|) < 2**31, so sum(|q|) * max|entry| <
+# 2**62 and a written entry stays below 2**31 + 2**62 < 2**63: no int64
+# operation can overflow.
 _GUARD = 1 << 31
 
 
@@ -64,13 +79,12 @@ def _within_guard(arr):
 def _int_matrix(M):
     """M as an int64 array when every entry is below the guard, else as
     an object array of Python ints."""
-    if isinstance(M, np.ndarray) and M.dtype.kind in "iu" and M.ndim == 2:
-        if _within_guard(M):
-            return M.astype(np.int64, copy=False)
-        M = M.tolist()
+    if isinstance(M, np.ndarray) and M.dtype.kind in "iuO" and \
+            M.ndim == 2 and _within_guard(M):
+        return M.astype(np.int64, copy=False)
     arr = np.array([[int(x) for x in row] for row in M], dtype=object)
-    if arr.ndim != 2:
-        arr = arr.reshape(len(M), -1)
+    if arr.size == 0:              # [] has no row to give the width
+        arr = arr.reshape(np.shape(M) if np.ndim(M) == 2 else (0, 0))
     return arr.astype(np.int64) if _within_guard(arr) else arr
 
 
@@ -86,96 +100,148 @@ def smith_normal_form(M):
 
 
 def _smith(A, dtype):
-    """The one reduction body: SNF of A in arrays of dtype, np.int64 (A's
-    entries below the guard; raises _Outgrown) or object (Python ints)."""
-    S = A.astype(dtype)
-    m, n = S.shape
-    U = np.eye(m, dtype=np.int64).astype(dtype)
-    V = np.eye(n, dtype=np.int64).astype(dtype)
-    Vinv = V.copy()
+    """The one reduction body: SNF of A with transforms in arrays of
+    dtype, np.int64 (A's entries below the guard; raises _Outgrown) or
+    object (Python ints)."""
+    m, n = A.shape
     guarded = dtype is np.int64
+    # S lives in sparse rows of Python ints, keyed by row and column
+    # labels (the original indices): rlab/clab list the labels by current
+    # position and rpos/cpos invert them, so a swap only updates these
+    # maps, and cols[c] holds the labels of the rows with a nonzero in
+    # column c.  The transforms are dense and stored by label, one row
+    # each: Ut[r] = U[:, r], V[c] = V[c, :] and W[c] = v_inv[:, c].
+    rows = [{} for _ in range(m)]
+    cols = [set() for _ in range(n)]
+    ij = np.nonzero(A)
+    for i, j, x in zip(ij[0].tolist(), ij[1].tolist(), A[ij].tolist()):
+        rows[i][j] = x
+        cols[j].add(i)
+    rlab, rpos = list(range(m)), list(range(m))
+    clab, cpos = list(range(n)), list(range(n))
+    Ut = np.eye(m, dtype=dtype)
+    V = np.eye(n, dtype=dtype)
+    W = V.copy()
+    u_moved, v_moved = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+    diag = []
 
-    def result():                  # one at a time, to free each int64 array
-        nonlocal U, S, V, Vinv
-        U = U.astype(object)
-        V = V.astype(object)
-        Vinv = Vinv.astype(object)
-        S = S.astype(object)
-        return SNFResult(U, S, V, Vinv)
+    def put(r, c, x):              # S[r, c] = x
+        row = rows[r]
+        if x:
+            if guarded and not -_GUARD < x < _GUARD:
+                raise _Outgrown
+            if c not in row:
+                cols[c].add(r)
+            row[c] = x
+        elif c in row:
+            del row[c]
+            cols[c].discard(r)
 
-    def guard(*written):           # |entries| < 2**62 + 2**31: abs cannot wrap
-        if guarded and max(np.abs(w).max() for w in written) >= _GUARD:
+    def multipliers(qs):           # qs as an array, once every sum fits
+        if guarded and sum(map(abs, qs)) >= _GUARD:
+            raise _Outgrown
+        return np.array(qs, dtype=dtype)
+
+    def check(written):
+        if guarded and np.abs(written).max() >= _GUARD:
             raise _Outgrown
 
-    # elementary operations, keeping M = U S V and V^-1 in sync
-    def row_add(r, t, q):          # row r -= q * row t
-        S[r, :] -= q * S[t, :]
-        U[:, t] += q * U[:, r]
-        guard(S[r, :], U[:, t])
+    def add_rows(X, moved, i, idx, qs):
+        """X[i] += sum of q * X[j] over j, q in idx, qs.  A row not yet
+        written (moved[j] False) is still e_j: it adds q at column j."""
+        qs, idx = multipliers(qs), np.array(idx)
+        unit = ~moved[idx]
+        X[i, idx[unit]] += qs[unit]
+        if not unit.all():
+            X[i] += qs[~unit] @ X[idx[~unit]]
+        moved[i] = True
+        check(X[i])
 
-    def col_add(c, t, q):          # col c -= q * col t
-        S[:, c] -= q * S[:, t]
-        V[t, :] += q * V[c, :]
-        Vinv[:, c] -= q * Vinv[:, t]
-        guard(S[:, c], V[t, :], Vinv[:, c])
+    def swap(lab, pos, a, b):
+        lab[a], lab[b] = lab[b], lab[a]
+        pos[lab[a]], pos[lab[b]] = a, b
 
-    def row_swap(a, b):
-        S[[a, b], :] = S[[b, a], :]
-        U[:, [a, b]] = U[:, [b, a]]
+    while len(diag) < min(m, n):
+        t = len(diag)              # steps done; the block is S[t:, t:]
+        # the first minimal |entry| of the block, row-major by position
+        best = None
+        for p in range(t, m):
+            row = rows[rlab[p]]
+            if row:
+                mag, _, c = min((abs(x), cpos[k], k) for k, x in row.items())
+                if best is None or mag < best[0]:
+                    best = mag, p, c
+                    if mag == 1:
+                        break
+        if best is None:
+            break                  # the rest of S is zero
+        _, p, c = best
+        r = rlab[p]
+        swap(rlab, rpos, t, p)
+        swap(clab, cpos, t, cpos[c])
+        if rows[r][c] < 0:
+            rows[r] = {k: -x for k, x in rows[r].items()}
+            Ut[r] = -Ut[r]
+            u_moved[r] = True
+        piv = rows[r][c]
 
-    def col_swap(a, b):
-        S[:, [a, b]] = S[:, [b, a]]
-        V[[a, b], :] = V[[b, a], :]
-        Vinv[:, [a, b]] = Vinv[:, [b, a]]
+        # clear column c: row s -= q * row r, so U[:, r] += q * U[:, s]
+        below = sorted(cols[c] - {r}, key=rpos.__getitem__)
+        if below:
+            pivot_row = list(rows[r].items())
+            qs = []
+            for s in below:
+                row = rows[s]
+                q = row[c] // piv
+                qs.append(q)
+                for k, x in pivot_row:
+                    put(s, k, row.get(k, 0) - q * x)
+            add_rows(Ut, u_moved, r, below, qs)
 
-    def row_negate(r):
-        S[r, :] = -S[r, :]
-        U[:, r] = -U[:, r]
+        # clear row r: col k -= q * col c, so V[c, :] += q * V[k, :] and
+        # v_inv[:, k] -= q * v_inv[:, c] (only where that is nonzero)
+        right = sorted((k for k in rows[r] if k != c), key=cpos.__getitem__)
+        if right:
+            pivot_col = [(s, rows[s][c]) for s in cols[c]]
+            qs = []
+            for k in right:
+                q = rows[r][k] // piv
+                qs.append(q)
+                for s, x in pivot_col:
+                    put(s, k, rows[s].get(k, 0) - q * x)
+            add_rows(V, v_moved, c, right, qs)
+            nz = np.flatnonzero(W[c])
+            block = np.ix_(right, nz)
+            w = W[block] - np.outer(multipliers(qs), W[c, nz])
+            check(w)
+            W[block] = w
+        if len(cols[c]) > 1 or len(rows[r]) > 1:
+            continue               # remainders left: pivot again
 
-    for t in range(min(m, n)):
-        while True:
-            # smallest nonzero pivot in the remaining block
-            sub = S[t:, t:]
-            nz = sub != 0
-            if not nz.any():
-                return result()
-            mags = np.abs(sub)
-            sentinel = mags.max() + 1
-            mags = np.where(nz, mags, sentinel)
-            i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
-            i, j = i + t, j + t
-            if i != t:
-                row_swap(t, i)
-            if j != t:
-                col_swap(t, j)
-            if S[t, t] < 0:
-                row_negate(t)
+        # divisibility: fold the first row holding an entry the pivot does
+        # not divide into row r, then take the step again
+        offender = None
+        if piv != 1:
+            offender = next((rlab[p] for p in range(t + 1, m) if any(
+                x % piv for x in rows[rlab[p]].values())), None)
+        if offender is not None:
+            for k, x in list(rows[offender].items()):
+                put(r, k, rows[r].get(k, 0) + x)
+            add_rows(Ut, u_moved, offender, [r], [-1])
+            continue
+        diag.append(piv)
 
-            piv = S[t, t]
-            done = True
-            for r in range(t + 1, m):
-                if S[r, t] != 0:
-                    q = S[r, t] // piv
-                    row_add(r, t, q)
-                    if S[r, t] != 0:
-                        done = False
-            for c in range(t + 1, n):
-                if S[t, c] != 0:
-                    q = S[t, c] // piv
-                    col_add(c, t, q)
-                    if S[t, c] != 0:
-                        done = False
-            if not done:
-                continue
-
-            # enforce divisibility: pivot must divide the remaining block
-            offender = None
-            if t + 1 < m and t + 1 < n:
-                bad = ((S[t + 1:, t + 1:] % piv) != 0).any(axis=1)
-                if bad.any():
-                    offender = t + 1 + int(np.argmax(bad))
-            if offender is None:
-                break
-            row_add(t, offender, -1)  # row t += offending row, retry pivot
-
-    return result()
+    # position order and Python ints, each int64 array freed as its
+    # object copy is made
+    Ut = Ut[rlab]
+    U = Ut.T.astype(object)
+    del Ut
+    V = V[clab]
+    V = V.astype(object)
+    W = W[clab]
+    Vinv = W.T.astype(object)
+    del W
+    S = np.zeros((m, n), dtype=object)
+    for t, d in enumerate(diag):
+        S[t, t] = d
+    return SNFResult(U, S, V, Vinv)

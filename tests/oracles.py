@@ -4,7 +4,9 @@ Deliberately naive: textbook gcd-sweep diagonalization for invariant
 factors, fraction-free (Bareiss) elimination for ranks and
 determinants, and the alternating-face rule for local coboundaries,
 sharing no code with the package's Smith normal form, basis or
-coboundary machinery.
+coboundary machinery.  dense_smith is the dense form of the package's
+pivot rule, kept as the reference its sparse replay must match bit for
+bit.
 """
 
 import numpy as np
@@ -150,3 +152,107 @@ def torsion(complex_, k):
         return []
     mat = complex_.coboundary_matrix(k - 1).toarray().tolist()
     return [d for d in invariant_factors(mat) if d > 1]
+
+
+def dense_smith(M):
+    """(U, S, V, v_inv) of M = U S V by dense elimination, as object arrays.
+
+    Each step t takes the first minimal-|entry| nonzero of the block
+    S[t:, t:] in row-major order, swaps it to (t, t), makes it positive,
+    clears its column and row by floor-quotient row and column
+    operations (repeating while remainders are left), and, if the pivot
+    does not divide the rest of the block, adds the first offending row
+    to row t and starts the step again.  Runs on int64 while every entry
+    stays below 2**31 (so no update can overflow), else on Python ints.
+    """
+    A = np.array([[int(x) for x in row] for row in M], dtype=object)
+    A = A.reshape(np.shape(M))
+    if all(abs(x) < 1 << 31 for x in A.ravel()):
+        try:
+            return _dense_smith(A.astype(np.int64), np.int64)
+        except _Outgrown:
+            pass
+    return _dense_smith(A, object)
+
+
+class _Outgrown(Exception):
+    pass
+
+
+def _dense_smith(A, dtype):
+    S = A.astype(dtype)
+    m, n = S.shape
+    U = np.eye(m, dtype=np.int64).astype(dtype)
+    V = np.eye(n, dtype=np.int64).astype(dtype)
+    Vinv = V.copy()
+
+    def guard(*written):
+        if dtype is np.int64 and \
+                max(np.abs(w).max() for w in written) >= 1 << 31:
+            raise _Outgrown
+
+    def row_add(r, t, q):          # row r -= q * row t
+        S[r, :] -= q * S[t, :]
+        U[:, t] += q * U[:, r]
+        guard(S[r, :], U[:, t])
+
+    def col_add(c, t, q):          # col c -= q * col t
+        S[:, c] -= q * S[:, t]
+        V[t, :] += q * V[c, :]
+        Vinv[:, c] -= q * Vinv[:, t]
+        guard(S[:, c], V[t, :], Vinv[:, c])
+
+    def row_swap(a, b):
+        S[[a, b], :] = S[[b, a], :]
+        U[:, [a, b]] = U[:, [b, a]]
+
+    def col_swap(a, b):
+        S[:, [a, b]] = S[:, [b, a]]
+        V[[a, b], :] = V[[b, a], :]
+        Vinv[:, [a, b]] = Vinv[:, [b, a]]
+
+    def result():
+        return tuple(X.astype(object) for X in (U, S, V, Vinv))
+
+    for t in range(min(m, n)):
+        while True:
+            sub = S[t:, t:]
+            nz = sub != 0
+            if not nz.any():
+                return result()
+            mags = np.abs(sub)
+            mags = np.where(nz, mags, mags.max() + 1)
+            i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+            i, j = i + t, j + t
+            if i != t:
+                row_swap(t, i)
+            if j != t:
+                col_swap(t, j)
+            if S[t, t] < 0:
+                S[t, :] = -S[t, :]
+                U[:, t] = -U[:, t]
+
+            piv = S[t, t]
+            done = True
+            for r in range(t + 1, m):
+                if S[r, t] != 0:
+                    row_add(r, t, S[r, t] // piv)
+                    if S[r, t] != 0:
+                        done = False
+            for c in range(t + 1, n):
+                if S[t, c] != 0:
+                    col_add(c, t, S[t, c] // piv)
+                    if S[t, c] != 0:
+                        done = False
+            if not done:
+                continue
+
+            offender = None
+            if t + 1 < m and t + 1 < n:
+                bad = ((S[t + 1:, t + 1:] % piv) != 0).any(axis=1)
+                if bad.any():
+                    offender = t + 1 + int(np.argmax(bad))
+            if offender is None:
+                break
+            row_add(t, offender, -1)
+    return result()

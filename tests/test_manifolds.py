@@ -26,9 +26,20 @@ def test_unknown_name_and_bad_parameter():
     with pytest.raises(Error) as e:
         cs.generate("klein")
     assert e.value.code == "UNKNOWN_NAME"
-    with pytest.raises(Error) as e:
-        cs.generate("circle(2)")
-    assert e.value.code == "BAD_PARAMETER"
+    for name in ("circle(2)", "t3(2)"):
+        with pytest.raises(Error) as e:
+            cs.generate(name)
+        assert e.value.code == "BAD_PARAMETER"
+
+
+def test_t3_family():
+    assert cs.dump_complex(cs.generate("t3")) == \
+        cs.dump_complex(cs.generate("t3(3)"))
+    K = cs.generate("t3(4)")
+    assert K.n_vertices == 64 and K.n_simplices(3) == 384
+    groups = [cs.homology_groups(K, k, "int") for k in range(4)]
+    assert [(g.betti, g.torsion) for g in groups] == \
+        [(1, []), (3, []), (3, []), (1, [])]
 
 
 def test_all_3d_fixtures_closed_orientable(fixtures3d):

@@ -4,7 +4,7 @@ import pytest
 import csobstruct as cs
 from csobstruct import snf
 from csobstruct.snf import smith_normal_form
-from oracles import exact_det, invariant_factors
+from oracles import dense_smith, exact_det, invariant_factors
 
 
 def as_int(M):
@@ -154,3 +154,48 @@ def test_fixture_matrices_stay_on_int64(monkeypatch):
     for A, dtype in runs:
         assert dtype is np.int64
         assert_same(snf._smith(A, np.int64), python_int_run(A))
+
+
+def test_sparse_replay_matches_dense_reference(monkeypatch):
+    """The sparse body repeats the dense elimination's every operation:
+    U, S, V and v_inv equal the dense reference's, entry for entry."""
+    runs = spy_on_body(monkeypatch)
+    for name in ("s3", "s1xs2", "t3", "rp3"):
+        K = cs.generate(name)
+        for k in range(K.dim + 1):
+            cs.integral_generators(K, k)
+    monkeypatch.undo()
+    assert len(runs) == 12 + 8
+    cases = [A for A, _ in runs]
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        m, n = rng.integers(1, 9, size=2)
+        cases.append(rng.integers(-6, 7, size=(m, n))
+                     * (rng.random((m, n)) < 0.5))
+    cases += [
+        # the pivot does not divide the rest: the divisibility fix runs
+        [[2, 0], [0, 3]], [[6, 0], [0, 4]], [[0, 4, 0], [6, 0, 0]],
+        [[2, 0, 0], [0, 3, 0], [0, 0, 5]], [[4, 2], [2, 7]],
+        # the inputs of test_fallback_is_exact
+        [[2**40, 3], [5, 2**41 + 1]],
+        np.array([[-2**63, 1], [3, 2**62]], dtype=np.int64),
+        [[2**31 - 1, 0, 0], [0, 2**31 - 3, 0], [0, 0, 2**31 - 5]],
+    ]
+    for M in cases:
+        res = smith_normal_form(M)
+        for f, ref in zip(("U", "S", "V", "v_inv"), dense_smith(M)):
+            x = getattr(res, f)
+            assert x.shape == ref.shape and (x == ref).all(), f
+
+
+@pytest.mark.parametrize("M", [
+    [], [[]], np.zeros((0, 3), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64)])
+def test_empty_matrix(M):
+    m, n = np.shape(M) if np.ndim(M) == 2 else (0, 0)
+    res = smith_normal_form(M)
+    assert res.S.shape == (m, n) and res.diag == [] and res.rank == 0
+    assert (res.U == np.eye(m, dtype=object)).all()
+    assert res.U.shape == (m, m)
+    for X in (res.V, res.v_inv):
+        assert X.shape == (n, n) and (X == np.eye(n, dtype=object)).all()
