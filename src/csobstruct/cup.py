@@ -19,24 +19,33 @@ NONDEGENERACY_RTOL = 1e-8
 
 
 def cup(complex_, alpha, beta):
-    """Alexander-Whitney product: (a u b)(v0..vk+l) = a(front) * b(back)."""
+    """Alexander-Whitney product: (a u b)(v0..vk+l) = a(front) * b(back).
+
+    One gather per factor through the memoized face index arrays; the
+    products are elementwise, in Python ints when both factors are INT.
+    """
     k, l = alpha.degree, beta.degree
     if k + l > complex_.dim:
         raise Error("DEGREE_OVERFLOW",
                     f"cup degree {k}+{l} exceeds dim {complex_.dim}")
-    ring = INT if alpha.ring == INT and beta.ring == INT else REAL
-    a = alpha.values if alpha.ring == INT else np.asarray(alpha.values)
-    b = beta.values if beta.ring == INT else np.asarray(beta.values)
-    idx_k = complex_._index[k]
-    idx_l = complex_._index[l]
-    out = []
-    for tau in complex_.simplices[k + l]:
-        front = tau[:k + 1]
-        back = tau[k:]
-        out.append(a[idx_k[front]] * b[idx_l[back]])
-    if ring == INT:
-        return Cochain(k + l, INT, np.array(out, dtype=object))
-    return Cochain(k + l, REAL, np.asarray(out, dtype=float))
+    front, back = complex_._memo(("cup_faces", k, l),
+                                 lambda: _cup_faces(complex_, k, l))
+    if alpha.ring == INT and beta.ring == INT:
+        a = np.asarray(alpha.values, dtype=object)
+        b = np.asarray(beta.values, dtype=object)
+        return Cochain(k + l, INT, a[front] * b[back])
+    a = np.asarray(alpha.values, dtype=float)
+    b = np.asarray(beta.values, dtype=float)
+    return Cochain(k + l, REAL, a[front] * b[back])
+
+
+def _cup_faces(complex_, k, l):
+    """Indices of the front k-face and back l-face of each (k+l)-simplex."""
+    taus = complex_.simplices[k + l]
+    idx_k, idx_l = complex_._index[k], complex_._index[l]
+    front = np.array([idx_k[t[:k + 1]] for t in taus], dtype=np.intp)
+    back = np.array([idx_l[t[k:]] for t in taus], dtype=np.intp)
+    return front, back
 
 
 def pair_with_fundamental(complex_, omega):
@@ -48,7 +57,8 @@ def pair_with_fundamental(complex_, omega):
     if omega.ring == INT:
         return int(sum(int(e) * int(v)
                        for e, v in zip(z.values, omega.values)))
-    signs = np.asarray([float(e) for e in z.values])
+    signs = complex_._memo("fundamental_signs", lambda: np.asarray(
+        [float(e) for e in z.values]))
     return float(signs @ omega.values)
 
 

@@ -22,11 +22,20 @@ column, which the sweep never writes.  They run on int64 under the
 overflow guard below; if an entry would outgrow it, the whole reduction
 reruns in the same body on Python ints (object arrays), so the result is
 exact either way and, the arithmetic being exact in both, the same.
+
+The body also records its row operations on S, in order, as the column
+operations they make on U: a sweep's U[:, r] += sum q * U[:, s], a
+divisibility fold's U[:, offender] -= U[:, r] and a negation of U[:, r].
+U^-1 itself is never formed.  Its rows rank: on (the tail, with tail @ U
+= [0 | I]; it reads a vector's coordinates in the free part of
+Z^m / im M) are made on demand by replaying that record backwards on
+unit rows, in Python ints, at O(1) per operation and row
+(SNFResult.u_inv_tail).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,13 +58,17 @@ class SNFResult:
 
     diag holds the invariant factors d_1 | d_2 | ... (nonnegative);
     v_inv is the exact inverse of V.  All four are object arrays of
-    Python ints.
+    Python ints.  u_inv_tail() gives the rows rank: of U^-1.
     """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
     v_inv: np.ndarray
+    # the record of U's column operations, and the row labels in
+    # position order (see _smith)
+    _u_ops: list = field(repr=False)
+    _rlab: list = field(repr=False)
 
     @property
     def diag(self):
@@ -69,6 +82,30 @@ class SNFResult:
     @property
     def invariant_factors(self):
         return [d for d in self.diag if d != 0]
+
+    def u_inv_tail(self):
+        """Rows rank: of U^-1, exact, as an object array of Python ints.
+
+        U^-1 = E_N ... E_1 is the product of the row operations on S, so
+        row i is e_i E_N ... E_1: each unit row is pushed back through
+        the record, last operation first.  U[:, i] += q * U[:, j] is the
+        row operation S[j] -= q * S[i], which sends y to y[i] -= q * y[j];
+        a negation of U[:, i] negates y[i].  y[c] holds column c of all
+        wanted rows at once.
+        """
+        m = self.S.shape[0]
+        want = self._rlab[self.rank:]
+        b = len(want)
+        y = [[0] * b for _ in range(m)]
+        for t, lab in enumerate(want):
+            y[lab][t] = 1
+        for i, js, qs in reversed(self._u_ops):
+            if js is None:
+                y[i] = [-x for x in y[i]]
+                continue
+            for j, q in zip(js, qs):
+                y[i] = [a - q * x for a, x in zip(y[i], y[j])]
+        return np.array(y, dtype=object).reshape(m, b).T
 
 
 def _within_guard(arr):
@@ -123,6 +160,7 @@ def _smith(A, dtype):
     V = np.eye(n, dtype=dtype)
     W = V.copy()
     u_moved, v_moved = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+    u_ops = []                     # U's column operations, in order
     diag = []
 
     def put(r, c, x):              # S[r, c] = x
@@ -183,6 +221,7 @@ def _smith(A, dtype):
             rows[r] = {k: -x for k, x in rows[r].items()}
             Ut[r] = -Ut[r]
             u_moved[r] = True
+            u_ops.append((r, None, None))
         piv = rows[r][c]
 
         # clear column c: row s -= q * row r, so U[:, r] += q * U[:, s]
@@ -197,6 +236,7 @@ def _smith(A, dtype):
                 for k, x in pivot_row:
                     put(s, k, row.get(k, 0) - q * x)
             add_rows(Ut, u_moved, r, below, qs)
+            u_ops.append((r, below, qs))
 
         # clear row r: col k -= q * col c, so V[c, :] += q * V[k, :] and
         # v_inv[:, k] -= q * v_inv[:, c] (only where that is nonzero)
@@ -228,6 +268,7 @@ def _smith(A, dtype):
             for k, x in list(rows[offender].items()):
                 put(r, k, rows[r].get(k, 0) + x)
             add_rows(Ut, u_moved, offender, [r], [-1])
+            u_ops.append((offender, [r], [-1]))
             continue
         diag.append(piv)
 
@@ -244,4 +285,4 @@ def _smith(A, dtype):
     S = np.zeros((m, n), dtype=object)
     for t, d in enumerate(diag):
         S[t, t] = d
-    return SNFResult(U, S, V, Vinv)
+    return SNFResult(U, S, V, Vinv, u_ops, rlab)

@@ -2,11 +2,11 @@
 
 Deliberately naive: textbook gcd-sweep diagonalization for invariant
 factors, fraction-free (Bareiss) elimination for ranks and
-determinants, and the alternating-face rule for local coboundaries,
-sharing no code with the package's Smith normal form, basis or
-coboundary machinery.  dense_smith is the dense form of the package's
-pivot rule, kept as the reference its sparse replay must match bit for
-bit.
+determinants, the alternating-face rule for local coboundaries and a
+per-simplex loop for the cup product, sharing no code with the
+package's Smith normal form, basis, coboundary or cup machinery.
+dense_smith is the dense form of the package's pivot rule, kept as the
+reference its sparse replay must match bit for bit.
 """
 
 import numpy as np
@@ -25,6 +25,24 @@ def local_coboundary(sub, k):
         for i in range(len(tau)):
             m[r][cols[tau[:i] + tau[i + 1:]]] += (-1) ** i
     return np.array(m, dtype=int).reshape(len(rows), len(cols))
+
+
+def cup_reference(complex_, alpha, beta):
+    """Alexander-Whitney values, one (k+l)-simplex at a time.
+
+    (a u b)(v_0..v_{k+l}) = a(v_0..v_k) * b(v_k..v_{k+l}), with faces
+    looked up by position in the lexicographic simplex lists; Python
+    ints when both factors are integral, else floats.
+    """
+    k, l = alpha.degree, beta.degree
+    exact = alpha.ring == beta.ring == "int"
+    conv = int if exact else float
+    pos_k = {s: i for i, s in enumerate(complex_.simplices[k])}
+    pos_l = {s: i for i, s in enumerate(complex_.simplices[l])}
+    out = [conv(alpha.values[pos_k[tau[:k + 1]]]) *
+           conv(beta.values[pos_l[tau[k:]]])
+           for tau in complex_.simplices[k + l]]
+    return np.array(out, dtype=object if exact else float)
 
 
 def exact_rank(rows):

@@ -1,8 +1,10 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import csobstruct as cs
 from csobstruct import homology
@@ -109,6 +111,60 @@ class TestIntegralGenerators:
             cs.integral_generators(K, k)
             cs.basis(K, k)
         assert seen and len(set(seen)) == len(seen)
+
+
+class TestClassMap:
+    """P_k, from the same two reductions as the generators, in exact
+    Python ints: P g_i = e_i on the free generators, P t = 0 on the
+    torsion generators and P d_{k-1} = 0."""
+
+    @pytest.mark.parametrize("name", ["s3", "s1xs2", "t3", "rp3",
+                                      "sphere2", "t3(4)"])
+    def test_class_map_is_exact(self, name):
+        K = cs.generate(name)
+        for k in range(K.dim + 1):
+            free, tors, P = homology._cohomology(K, k)
+            assert P.dtype == object and all(type(x) is int
+                                             for x in P.ravel())
+            assert P.shape == (len(free), K.n_simplices(k))
+            if free:
+                G = np.column_stack(free)
+                assert (P @ G == np.eye(len(free), dtype=int)).all()
+            for _, t in tors:
+                assert not (P @ t).any()
+            if k > 0:
+                d = K.coboundary_matrix(k - 1).toarray().astype(object)
+                assert not (P @ d).any()
+
+    def test_coordinates_read_the_class_map(self, t3, rp3):
+        rng = np.random.default_rng(11)
+        for K in (t3, rp3):
+            for k in range(K.dim + 1):
+                b = cs.basis(K, k)
+                P = homology._cohomology(K, k)[2]
+                v = rng.standard_normal(K.n_simplices(k))
+                if b.size:
+                    assert np.array_equal(b.coordinates(v),
+                                          P.astype(float) @ v)
+                else:
+                    assert b.coordinates(v).shape == (0,)
+
+    def test_no_svd_and_no_float_rank(self, monkeypatch):
+        """Bases and real Betti numbers come from the exact reduction."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("float factorization called")
+
+        svd_home = inspect.getmodule(scipy.linalg.null_space)
+        for owner, attr in ((np.linalg, "svd"), (np.linalg, "matrix_rank"),
+                            (scipy.linalg, "svd"), (svd_home, "svd")):
+            monkeypatch.setattr(owner, attr, forbidden)
+        K = cs.generate("s1xs2")
+        for k in range(K.dim + 1):
+            cs.basis(K, k)
+            cs.homology_groups(K, k, "real")
+        L = cs.generate("rp3")
+        for k in range(L.dim + 1):
+            cs.homology_groups(L, k, "real")
 
 
 class TestBasis:

@@ -188,6 +188,37 @@ def test_sparse_replay_matches_dense_reference(monkeypatch):
             assert x.shape == ref.shape and (x == ref).all(), f
 
 
+def test_u_inv_tail(monkeypatch):
+    """Rows rank: of U^-1, replayed from the operation record, times U
+    give [0 | I]: they are exactly the last rows of the inverse."""
+    runs = spy_on_body(monkeypatch)
+    for name in ("s3", "s1xs2", "t3", "rp3"):
+        K = cs.generate(name)
+        for k in range(K.dim + 1):
+            cs.integral_generators(K, k)
+    monkeypatch.undo()
+    assert len(runs) == 12 + 8
+    cases = [A for A, _ in runs]
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        m, n = rng.integers(1, 9, size=2)
+        cases.append(rng.integers(-6, 7, size=(m, n))
+                     * (rng.random((m, n)) < 0.5))
+    cases += [[[2, 0], [0, 3]], [[4, 2], [2, 7]], [[0, 4, 0], [6, 0, 0]],
+              [[2**40, 3], [5, 2**41 + 1]],
+              np.zeros((3, 0), dtype=np.int64),
+              np.zeros((0, 3), dtype=np.int64)]
+    for M in cases:
+        res = smith_normal_form(M)
+        m, r = res.S.shape[0], res.rank
+        tail = res.u_inv_tail()
+        assert tail.shape == (m - r, m) and tail.dtype == object
+        assert all(type(x) is int for x in tail.ravel())
+        expect = np.zeros((m - r, m), dtype=object)
+        expect[:, r:] = np.eye(m - r, dtype=int)
+        assert (tail @ res.U == expect).all()
+
+
 @pytest.mark.parametrize("M", [
     [], [[]], np.zeros((0, 3), dtype=np.int64),
     np.zeros((3, 0), dtype=np.int64)])
