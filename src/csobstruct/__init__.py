@@ -10,13 +10,11 @@ homomorphism on the closed-star cover.
 from .bundle import (Connection, FlatResult, U1Bundle, cs_action,
                      cs_gradient, cs_gradient_fd, curvature, flatten,
                      gauge_transform, make_bundle, real_chern_class)
-from .cech import (CechClass, GlobalityReport, LocalFamily, StarCover,
-                   connecting_delta, current_globality, local_primitives,
-                   star_cover)
+from .cech import (CechClass, GlobalityReport, StarCover, connecting_delta,
+                   current_globality, star_cover)
 from .complex_core import (Chain, Cochain, INT, REAL, SimplicialComplex,
                            apply_d, dump_cochain, dump_complex,
-                           fundamental_cycle, load_cochain, load_complex,
-                           star_of_simplex, star_subcomplex)
+                           fundamental_cycle, load_cochain, load_complex)
 from .cup import (PairingMatrix, cup, pair_with_fundamental,
                   poincare_pairing_matrix)
 from .errors import Error, InconsistencyError

@@ -71,7 +71,6 @@ class SimplicialComplex:
         self.simplices = {k: sorted(by_degree[k]) for k in range(self.dim + 1)}
         self._index = {k: {s: i for i, s in enumerate(self.simplices[k])}
                        for k in range(self.dim + 1)}
-        self._top_set = set(tops)
         self._memo_data = {}
 
         if top_orientation is not None:
@@ -288,63 +287,6 @@ def _fundamental_cycle_compute(complex_):
                         "stored orientation is not a fundamental cycle")
         eps = stored
     return Chain(n, np.array(eps, dtype=object))
-
-
-# -- stars -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Subcomplex:
-    """A subcomplex keyed by global simplex tuples, with index maps."""
-
-    parent: SimplicialComplex
-    simplices: dict  # degree -> sorted list of global tuples
-    indices: dict    # degree -> np.ndarray of global canonical indices
-
-    def dim(self):
-        return max(self.simplices) if self.simplices else -1
-
-    def n_simplices(self, k):
-        return len(self.simplices.get(k, []))
-
-    def restrict(self, values, k):
-        """Restrict a global degree-k value array to this subcomplex."""
-        return values[self.indices.get(k, np.zeros(0, dtype=int))]
-
-
-def star_subcomplex(complex_, v):
-    """Closed star of a vertex, with local-to-global index maps."""
-    if not 0 <= v < complex_.n_vertices:
-        raise Error("UNKNOWN_VERTEX", f"vertex {v}")
-    return star_of_simplex(complex_, (v,))
-
-
-def _top_cofaces(complex_):
-    """Simplex -> the given top simplices containing it, in one pass."""
-    cofaces = {}
-    for top in complex_._top_set:
-        for r in range(1, len(top) + 1):
-            for f in itertools.combinations(top, r):
-                cofaces.setdefault(f, []).append(top)
-    return cofaces
-
-
-def star_of_simplex(complex_, simplex):
-    """Closed star of a simplex: the closure of the top simplices on it.
-
-    Every coface of s is a face of a given top simplex, which then
-    contains s, so those tops close up to the whole star.
-    """
-    s = tuple(simplex)
-    complex_.index(s)  # validates membership
-    tops = complex_._memo("cofaces", lambda: _top_cofaces(complex_))[s]
-    indices = {k: np.array(sorted(complex_._index[k][f] for f in found),
-                           dtype=int)
-               for k, found in enumerate(_closure(tops, complex_.dim))
-               if found}
-    simplices = {k: [complex_.simplices[k][i] for i in ids]
-                 for k, ids in indices.items()}
-    return Subcomplex(complex_, simplices, indices)
 
 
 # -- interchange format ------------------------------------------------

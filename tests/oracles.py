@@ -6,10 +6,21 @@ determinants, the alternating-face rule for local coboundaries and a
 per-simplex loop for the cup product, sharing no code with the
 package's Smith normal form, basis, coboundary or cup machinery.
 dense_smith is the dense form of the package's pivot rule, kept as the
-reference its sparse replay must match bit for bit.
+reference its sparse replay must match bit for bit.  cech_descent is
+the level-by-level Cech descent on the closed-star cover, the reference
+for the closed form of cech.connecting_delta, and duality_coordinates
+reads class coordinates by Poincare duality, without the class map.
 """
 
+import bisect
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
+
+from csobstruct import fundamental_cycle, integral_generators
+from csobstruct.complex_core import Cochain
 
 
 def local_coboundary(sub, k):
@@ -274,3 +285,218 @@ def _dense_smith(A, dtype):
                 break
             row_add(t, offender, -1)
     return result()
+
+
+# -- Cech descent on the closed-star cover ----------------------------
+
+
+@dataclass(frozen=True)
+class Subcomplex:
+    """A face-closed part of a complex, keyed by the complex's tuples."""
+
+    parent: object
+    simplices: dict  # degree -> sorted list of the parent's own tuples
+    indices: dict    # degree -> np.ndarray of the parent's canonical indices
+
+    def dim(self):
+        return max(self.simplices) if self.simplices else -1
+
+    def n_simplices(self, k):
+        return len(self.simplices.get(k, []))
+
+    def restrict(self, values, k):
+        """Restrict a global degree-k value array to this subcomplex."""
+        return values[self.indices.get(k, np.zeros(0, dtype=int))]
+
+
+@dataclass(frozen=True)
+class Star:
+    """Closed star of one simplex, a cone on the simplex's first vertex."""
+
+    simplex: tuple
+    sub: Subcomplex
+
+    def solve(self, values, k):
+        """Cone primitive h of a closed local k-cochain w, k >= 1.
+
+        With apex v = simplex[0], h(tau) = (-1)^j w(tau with v inserted at
+        position j) for tau not on v, and 0 for tau on v.  Every tau + v is
+        in the star, and d(h) = w - h(dw): exact when w is closed.
+        """
+        v, parent = self.simplex[0], self.sub.parent
+        taus = self.sub.simplices.get(k - 1, [])
+        rows = [r for r, tau in enumerate(taus) if v not in tau]
+        at = np.array([bisect.bisect(taus[r], v) for r in rows], dtype=int)
+        cofaces = [parent.index(taus[r][:j] + (v,) + taus[r][j:])
+                   for r, j in zip(rows, at.tolist())]
+        out = np.zeros(len(taus))
+        out[rows] = (-1.0) ** at * values[
+            np.searchsorted(self.sub.indices.get(k, []), cofaces)]
+        return out
+
+
+@dataclass(frozen=True)
+class StarCover:
+    """The closed star of every simplex, keyed by the simplex."""
+
+    complex: object
+    stars: dict                       # simplex tuple -> Star
+
+    def star(self, simplex):
+        return self.stars[tuple(simplex)]
+
+
+@dataclass(frozen=True)
+class LocalFamily:
+    """Per-vertex local primitives nu_v on the closed vertex stars."""
+
+    degree: int
+    members: dict                     # vertex -> local value array
+
+
+def star_cover(complex_):
+    """Closed stars of every simplex: each is the face closure of the
+    maximal simplices that contain it."""
+    covered = {t[:i] + t[i + 1:] for k in range(1, complex_.dim + 1)
+               for t in complex_.simplices[k] for i in range(len(t))}
+    tops = {}
+    for k in range(complex_.dim + 1):
+        for top in complex_.simplices[k]:
+            if top in covered:
+                continue
+            for r in range(1, len(top) + 1):
+                for f in itertools.combinations(top, r):
+                    tops.setdefault(f, []).append(top)
+    stars = {}
+    for k in range(complex_.dim + 1):
+        for s in complex_.simplices[k]:
+            closure = {f for top in tops[s] for r in range(1, len(top) + 1)
+                       for f in itertools.combinations(top, r)}
+            indices = {}
+            for f in closure:
+                indices.setdefault(len(f) - 1, []).append(complex_.index(f))
+            indices = {d: np.array(sorted(ids), dtype=int)
+                       for d, ids in sorted(indices.items())}
+            simplices = {d: [complex_.simplices[d][i] for i in ids]
+                         for d, ids in indices.items()}
+            stars[s] = Star(s, Subcomplex(complex_, simplices, indices))
+    return StarCover(complex_, stars)
+
+
+def local_primitives(cover, omega):
+    """Per-vertex nu_v with d(nu_v) = omega restricted to star(v)."""
+    vals = omega.as_float()
+    k = omega.degree
+    members = {}
+    for (v,) in cover.complex.simplices[0]:
+        star = cover.star((v,))
+        members[v] = star.solve(star.sub.restrict(vals, k), k)
+    return LocalFamily(k - 1, members)
+
+
+def cech_difference(cover, members, q, coeff_degree):
+    """Alternating sum of the level-(q-1) members on each q-overlap.
+
+    star(tau) lies inside star(face), and both index arrays are sorted
+    global indices, so searchsorted gives the positions to restrict by.
+    """
+    empty = np.zeros(0, dtype=int)
+    out = {}
+    for tau in cover.complex.simplices[q]:
+        local = cover.star(tau).sub.indices.get(coeff_degree, empty)
+        acc = np.zeros(local.size)
+        for i in range(q + 1):
+            face = tau[:i] + tau[i + 1:]
+            outer = cover.star(face).sub.indices.get(coeff_degree, empty)
+            acc += ((-1) ** i) * members[face][np.searchsorted(outer, local)]
+        out[tau] = acc
+    return out
+
+
+def nerve_sign(k):
+    """(-1)^(k(k+1)/2): the descent solves d(nu_p) = delta(nu_(p-1))
+    with no signs; in the tic-tac-toe double complex with
+    D = delta + (-1)^p d (Bott-Tu §9), alpha_p = e_p nu_p with e_0 = 1,
+    e_p = (-1)^(p+1) e_(p-1) cancels every inner term of D(sum alpha_p),
+    leaving omega + e_(k-1) c, so omega and -e_(k-1) c are cohomologous."""
+    return (-1) ** (k * (k + 1) // 2)
+
+
+def cech_descent(cover, omega, tol=1e-8):
+    """Descended Cech k-cocycle of a closed k-cochain, level by level.
+
+    Cone primitives at every level, Cech differences between levels, and
+    at level k a check that each closed local 0-cochain is constant (to
+    tol, relative) before its mean is read; the result carries the nerve
+    sign.  Returns the cocycle's values on the k-simplices.
+    """
+    complex_ = cover.complex
+    k = omega.degree
+    members = {(v,): nu
+               for v, nu in local_primitives(cover, omega).members.items()}
+    for q in range(1, k + 1):
+        # level q holds degree k-q local cochains on the q-overlaps
+        diffs = cech_difference(cover, members, q, k - q)
+        if q == k:
+            break
+        members = {tau: cover.star(tau).solve(mu, k - q)
+                   for tau, mu in diffs.items()}
+    values = np.zeros(complex_.n_simplices(k))
+    for tau, mu in diffs.items():
+        const = float(np.mean(mu))
+        assert float(np.max(np.abs(mu - const))) <= tol * (1.0 + abs(const)), \
+            f"descent output not constant on star of {tau}"
+        values[complex_.index(tau)] = const
+    return nerve_sign(k) * values
+
+
+# -- Poincare duality --------------------------------------------------
+
+
+def duality_coordinates(complex_, omega):
+    """Class coordinates of a closed k-cochain by Poincare duality.
+
+    With g_i the free generators of H^k and h_j those of H^(n-k), write
+    omega = sum_i x_i g_i + torsion + coboundary.  On a closed orientable
+    n-manifold coboundaries and torsion pair to zero with closed
+    cochains, so y_j = <omega u h_j, [X]> = sum_i x_i Pi_ij with
+    Pi_ij = <g_i u h_j, [X]>, and Pi is unimodular (Munkres, ch. 8).
+    So x solves Pi^T x = y, in Python ints for an integral omega.  Reads
+    the package's generators and fundamental cycle, never its class map;
+    the cup product is cup_reference.
+    """
+    k, n = omega.degree, complex_.dim
+    eps = [int(e) for e in fundamental_cycle(complex_).values]
+
+    def pair(a, b):
+        return sum(e * v for e, v in zip(eps, cup_reference(complex_, a, b)))
+
+    g = [Cochain(k, "int", v) for v in integral_generators(complex_, k)[0]]
+    h = [Cochain(n - k, "int", v)
+         for v in integral_generators(complex_, n - k)[0]]
+    pi = [[pair(gi, hj) for hj in h] for gi in g]
+    assert exact_det(pi) in (1, -1), pi
+    inv = _unimodular_inverse([list(col) for col in zip(*pi)])
+    y = [pair(omega, hj) for hj in h]
+    x = [sum(a * b for a, b in zip(row, y)) for row in inv]
+    return np.array(x, dtype=object if omega.ring == "int" else float)
+
+
+def _unimodular_inverse(rows):
+    """Inverse of a square integer matrix of determinant +-1, in ints,
+    by Gauss-Jordan elimination on Fractions."""
+    n = len(rows)
+    m = [[Fraction(int(a)) for a in row] + [Fraction(int(i == j))
+                                            for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        m[c] = [a / m[c][c] for a in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    inv = [row[n:] for row in m]
+    assert all(a.denominator == 1 for row in inv for a in row)
+    return [[int(a) for a in row] for row in inv]

@@ -15,7 +15,8 @@ import csobstruct as cs
 from csobstruct.complex_core import Cochain
 from conftest import (random_closed_cochain, random_int_cochain,
                       random_int_cocycle, random_real_cochain)
-from oracles import betti as betti_oracle, torsion as torsion_oracle
+from oracles import betti as betti_oracle, duality_coordinates, \
+    torsion as torsion_oracle
 
 
 def _pass(msg):
@@ -151,8 +152,8 @@ def test_criterion_5_torsion_discrimination(rp3):
 
 def test_criterion_6_cech_de_rham_agreement(covers):
     """>= 200 randomized closed 1-/2-cochains across fixtures: descent
-    class matches the simplicial class to 1e-8; globality verdicts never
-    disagree."""
+    class matches the simplicial class, and the coordinates read by
+    Poincare duality, to 1e-8; globality verdicts never disagree."""
     rng = np.random.default_rng(103)
     plan = [("s3", 120), ("s1xs2", 50), ("t3", 30)]
     checked = 0
@@ -168,12 +169,14 @@ def test_criterion_6_cech_de_rham_agreement(covers):
                 scale = 1.0 + float(np.abs(expect).max())
                 assert np.abs(out.coordinates - expect).max() \
                     <= 1e-8 * scale, (name, k)
+                assert np.abs(out.coordinates - duality_coordinates(K, w)
+                              ).max() <= 1e-8 * scale, (name, k)
             if k == 2:
                 cs.current_globality(cover, w)  # raises on disagreement
             checked += 1
     assert checked >= 200
     _pass(f"criterion 6 (Cech-de Rham agreement on {checked} cochains, "
-          "verdicts consistent)")
+          "Poincare duality agrees, verdicts consistent)")
 
 
 def test_criterion_7_variational_check(s3, t3):

@@ -1,16 +1,22 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import csobstruct as cs
+import oracles
 from csobstruct import cech
 from csobstruct.complex_core import Cochain
-from csobstruct.errors import Error, InconsistencyError
+from csobstruct.errors import Error
 from csobstruct.manifolds import simplex_boundary
 from conftest import (random_closed_cochain, random_int_cocycle,
                       random_real_cochain)
 from oracles import exact_rank, local_coboundary
+
+NON_PURE = [[(0, 1, 2), (2, 3)],
+            [(0, 1, 2, 3), (3, 4), (4, 5, 6)],
+            [(0, 1, 2), (1, 2, 3), (0, 3), (3, 4, 5)]]
 
 
 class TestStarCover:
@@ -26,10 +32,10 @@ class TestStarCover:
     def test_vertex_star_counts(self, s3, t3):
         # boundary of the 4-simplex: star of a vertex holds all 4 tets
         # through it; in general each tet shows up in exactly 4 stars
-        c3 = cs.star_cover(s3)
+        c3 = oracles.star_cover(s3)
         assert all(c3.star((v,)).sub.n_simplices(3) == 4
                    for (v,) in s3.simplices[0])
-        ct = cs.star_cover(t3)
+        ct = oracles.star_cover(t3)
         total = sum(ct.star((v,)).sub.n_simplices(3)
                     for (v,) in t3.simplices[0])
         assert total == 4 * t3.n_simplices(3)
@@ -37,7 +43,7 @@ class TestStarCover:
     def test_goodness_check_passes_on_fixtures(self, fixtures3d):
         """Every star is acyclic: all reduced Betti numbers vanish."""
         for name, K in fixtures3d.items():
-            for s, star in cs.star_cover(K).stars.items():
+            for s, star in oracles.star_cover(K).stars.items():
                 sub = star.sub
                 ranks = [exact_rank(local_coboundary(sub, k))
                          for k in range(sub.dim())]
@@ -51,7 +57,7 @@ class TestStarCover:
         for name, K in {**fixtures3d, "sphere2": sphere2}.items():
             everything = [t for k in range(K.dim + 1)
                           for t in K.simplices[k]]
-            for s, star in cs.star_cover(K).stars.items():
+            for s, star in oracles.star_cover(K).stars.items():
                 closure = {f for t in everything if set(s) <= set(t)
                            for r in range(1, len(t) + 1)
                            for f in itertools.combinations(t, r)}
@@ -67,8 +73,8 @@ class TestStarCover:
                                for f, i in zip(sub.simplices[k],
                                                sub.indices[k]))
 
-    def test_top_star_is_single_simplex(self, s3, covers):
-        cover = covers["s3"]
+    def test_top_star_is_single_simplex(self, s3):
+        cover = oracles.star_cover(s3)
         top = s3.simplices[3][0]
         assert cover.star(top).sub.n_simplices(3) == 1
 
@@ -76,7 +82,7 @@ class TestStarCover:
 class TestLocalPrimitives:
     def test_degree_zero_rejected(self, covers, s3):
         with pytest.raises(Error) as e:
-            cs.local_primitives(covers["s3"], Cochain.zeros(s3, 0))
+            cs.connecting_delta(covers["s3"], Cochain.zeros(s3, 0))
         assert e.value.code == "DEGREE_OUT_OF_RANGE"
 
     def test_non_closed_rejected(self, covers, t3):
@@ -86,14 +92,14 @@ class TestLocalPrimitives:
             if np.abs(cs.apply_d(t3, w).values).max() > 1e-3:
                 break
         with pytest.raises(Error) as e:
-            cs.local_primitives(covers["t3"], w)
+            cs.connecting_delta(covers["t3"], w)
         assert e.value.code == "NOT_CLOSED"
 
-    def test_primitive_property_on_every_star(self, covers, s1xs2):
+    def test_primitive_property_on_every_star(self, s1xs2):
         rng = np.random.default_rng(1)
-        cover = covers["s1xs2"]
+        cover = oracles.star_cover(s1xs2)
         w = random_closed_cochain(rng, s1xs2, 2)
-        fam = cs.local_primitives(cover, w)
+        fam = oracles.local_primitives(cover, w)
         assert fam.degree == 1
         vals = w.as_float()
         for v, nu in fam.members.items():
@@ -108,7 +114,7 @@ class TestLocalPrimitives:
         rng = np.random.default_rng(9)
         pairs = 0
         for name, K in fixtures3d.items():
-            cover = cs.star_cover(K)
+            cover = oracles.star_cover(K)
             for k in (1, 2, 3):
                 w = random_int_cocycle(rng, K, k)
                 vals = w.as_float()
@@ -120,7 +126,7 @@ class TestLocalPrimitives:
                     d = local_coboundary(star.sub, k - 1)
                     assert np.array_equal(d @ h, local), (name, k, s)
                     pairs += local.size
-                out = cs.connecting_delta(cover, w).cocycle.values
+                out = oracles.cech_descent(cover, w)
                 assert np.array_equal(out, np.round(out)), (name, k)
         assert pairs == 44492
 
@@ -201,11 +207,11 @@ class TestConnectingDelta:
         rng = np.random.default_rng(5)
         cases = []
         for K in (s3, s1xs2, t3):
-            cover = cs.star_cover(K)
+            cover = oracles.star_cover(K)
             for k in (1, 2, 3):
                 w = random_closed_cochain(rng, K, k)
-                cases.append((K, cover, w, cs.connecting_delta(cover, w)))
-        orig = cech._Star.solve
+                cases.append((K, cover, w, oracles.cech_descent(cover, w)))
+        orig = oracles.Star.solve
 
         def perturbed(self, values, k):
             nu = orig(self, values, k)
@@ -214,24 +220,21 @@ class TestConnectingDelta:
             x = rng.standard_normal(self.sub.n_simplices(k - 2))
             return nu + local_coboundary(self.sub, k - 2) @ x
 
-        monkeypatch.setattr(cech._Star, "solve", perturbed)
+        monkeypatch.setattr(oracles.Star, "solve", perturbed)
         shift = 0.0
         for K, cover, w, base in cases:
-            out = cs.connecting_delta(cover, w)
+            out = oracles.cech_descent(cover, w)
             k = w.degree
-            if base.coordinates.size:
-                assert np.abs(out.coordinates
-                              - base.coordinates).max() < 1e-8, k
-            moved = Cochain(k, "real",
-                            out.cocycle.values - base.cocycle.values)
+            b = cs.basis(K, k)
+            if b.size:
+                assert np.abs(b.coordinates(out)
+                              - b.coordinates(base)).max() < 1e-8, k
+            moved = Cochain(k, "real", out - base)
             assert cs.find_primitive(K, moved).exact, k
             shift = max(shift, np.abs(moved.values).max())
         assert shift > 1.0   # the perturbation does move the cocycle
 
-    @pytest.mark.parametrize("tops", [
-        [(0, 1, 2), (2, 3)],
-        [(0, 1, 2, 3), (3, 4), (4, 5, 6)],
-        [(0, 1, 2), (1, 2, 3), (0, 3), (3, 4, 5)]])
+    @pytest.mark.parametrize("tops", NON_PURE)
     def test_non_pure_complex(self, tops):
         """Stars that lack the degrees of a solve give empty primitives."""
         K = cs.SimplicialComplex(tops)
@@ -253,12 +256,100 @@ class TestConnectingDelta:
         cover = cs.star_cover(t3)
         inputs = [random_closed_cochain(rng, t3, k) for k in (1, 2, 3)]
         calls = []
+        oracle_cover = oracles.star_cover(t3)
         for fn in ("pinv", "lstsq"):
             monkeypatch.setattr(np.linalg, fn,
                                 lambda *a, _fn=fn, **kw: calls.append(_fn))
         for w in inputs:
             cs.connecting_delta(cover, w)
+            oracles.cech_descent(oracle_cover, w)
         assert not calls
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", [
+        "s3", "s1xs2", "t3", "rp3", "sphere2", "s4", "s5",
+        "non_pure0", "non_pure1", "non_pure2"])
+    def test_oracle_descent_is_omega(self, name, request):
+        """The level-by-level descent of a closed k-cochain is the
+        cochain itself in every degree 1..dim: bit for bit for integer
+        cocycles, to rounding for real ones; connecting_delta returns it."""
+        spheres = {"s4": 5, "s5": 6}   # boundary of the n-simplex
+        if name in spheres:
+            K = simplex_boundary(spheres[name])
+        elif name.startswith("non_pure"):
+            K = cs.SimplicialComplex(NON_PURE[int(name[-1])])
+        else:
+            K = request.getfixturevalue(name)
+        cover, library = oracles.star_cover(K), cs.star_cover(K)
+        rng = np.random.default_rng(11)
+        for k in range(1, K.dim + 1):
+            w = random_int_cocycle(rng, K, k)
+            assert np.array_equal(oracles.cech_descent(cover, w),
+                                  w.as_float()), (name, k)
+            assert np.array_equal(
+                cs.connecting_delta(library, w).cocycle.values,
+                w.as_float()), (name, k)
+            w = random_closed_cochain(rng, K, k)
+            bound = 1e-15 * (1.0 + np.abs(w.values).max())
+            assert np.abs(oracles.cech_descent(cover, w)
+                          - w.values).max() <= bound, (name, k)
+            assert np.array_equal(
+                cs.connecting_delta(library, w).cocycle.values,
+                w.values), (name, k)
+
+
+class TestDuality:
+    @pytest.mark.parametrize("name", ["s1xs2", "t3"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_duality_matches_class_coordinates(self, name, k, covers):
+        """Coordinates read by Poincare duality equal connecting_delta's:
+        exactly for integer cocycles, to 1e-9 for real closed cochains."""
+        cover = covers[name]
+        K = cover.complex
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            w = random_int_cocycle(rng, K, k)
+            x = oracles.duality_coordinates(K, w)
+            assert all(type(v) is int for v in x)
+            assert np.array_equal(cs.connecting_delta(cover, w).coordinates,
+                                  x.astype(float)), (name, k)
+            w = random_closed_cochain(rng, K, k)
+            x = oracles.duality_coordinates(K, w)
+            assert np.abs(cs.connecting_delta(cover, w).coordinates
+                          - x).max() < 1e-9 * (1.0 + np.abs(x).max())
+
+    @pytest.mark.parametrize("mutation", ["swap_rows", "add_coboundary_row"])
+    def test_duality_flags_corrupted_class_map(self, mutation, t3):
+        """On a fresh t3 whose H^1 class map has two rows swapped, or the
+        coboundary of a vertex added to a row, the duality coordinates
+        disagree with connecting_delta; on the intact map they agree."""
+        free, _ = cs.integral_generators(t3, 1)
+        vertex = Cochain(0, "int", np.array([1] + [0] * (t3.n_vertices - 1),
+                                            dtype=object))
+        exact = cs.apply_d(t3, vertex)
+        combo = Cochain(1, "int", free[0] + 2 * free[1] + 3 * free[2]
+                        + exact.values)
+        inputs = (exact, combo)
+
+        def disagree(K):
+            cover = cs.star_cover(K)
+            return [not np.array_equal(
+                cs.connecting_delta(cover, w).coordinates,
+                oracles.duality_coordinates(K, w).astype(float))
+                for w in inputs]
+
+        assert not any(disagree(t3))
+        K = cs.generate("t3")
+        honest = cs.cohomology_basis_real(K, 1)
+        rows = honest._class_map.copy()
+        if mutation == "swap_rows":
+            rows[[0, 1]] = rows[[1, 0]]
+        else:
+            rows[0] += exact.as_float()
+        K._memo(("basis", 1),
+                lambda: dataclasses.replace(honest, _class_map=rows))
+        assert any(disagree(K))
 
 
 class TestCurrentGlobality:
