@@ -20,9 +20,8 @@ import numpy as np
 
 from .complex_core import Cochain, REAL
 from .errors import Error, InconsistencyError
-from .homology import basis, find_primitive, require_closed
-
-CECH_TOL = 1e-8
+from .homology import (_closedness_tol, basis, find_primitive,
+                       require_closed)
 
 
 @dataclass(frozen=True)
@@ -104,17 +103,19 @@ def current_globality(cover, omega):
 
     Route one: the class coordinates P_k omega of the descent above.
     Route two: a least-squares global primitive (find_primitive), which
-    exists exactly when the class vanishes.  The verdicts must agree;
-    disagreement is an internal failure.
+    exists exactly when the class vanishes.  Both test against the same
+    limit, so route two can differ only by its residual: the verdicts
+    must agree, and disagreement is an internal failure.
     """
     complex_ = cover.complex
     if omega.degree != complex_.dim - 1:
         raise Error("DEGREE_OUT_OF_RANGE",
                     f"current must have degree {complex_.dim - 1}")
     cech = connecting_delta(cover, omega)
-    prim = find_primitive(complex_, omega)
+    limit = _closedness_tol(omega.values)
+    prim = find_primitive(complex_, omega, limit)
     cech_zero = (cech.coordinates.size == 0
-                 or float(np.max(np.abs(cech.coordinates))) <= CECH_TOL)
+                 or float(np.max(np.abs(cech.coordinates))) <= limit)
     if cech_zero != prim.exact:
         raise InconsistencyError(
             "VERDICT_INCONSISTENT",

@@ -98,12 +98,12 @@ def _reduce(complex_, k):
     of U^-1 are made (SNFResult.u_inv_tail).  Memoized per complex and
     degree.
 
-    Both SNFs are the sparse replay of snf.py: S in sparse rows, pivots
-    taken by the dense rule (first minimal |entry|, row-major), each
-    touching only its row's and column's nonzeros, and dense transforms
-    on int64 under an overflow guard, rerun on Python ints if an entry
-    outgrows it, so both are exact.  The products are summed over the
-    nonzeros of their left factor in Python ints (_sparse_product).
+    Both SNFs are the sparse replay of snf.py: S and the transforms in
+    sparse lines of Python ints, pivots taken by the dense rule (first
+    minimal |entry|, row-major), each step touching only the nonzeros of
+    its row and column, so both are exact.  The products are summed over
+    the nonzeros of their left factor in Python ints (_sparse_product),
+    and each generator over the nonzeros of its column of U.
     """
     def build():
         res = smith_normal_form(complex_.coboundary_matrix(k).toarray())
@@ -149,7 +149,10 @@ def _quotient_generators(res, lattice=None):
     """
     def vector(i):
         u = res.U[:, i]
-        return u.copy() if lattice is None else lattice @ u
+        if lattice is None:
+            return u.copy()
+        nz = np.flatnonzero(u)
+        return lattice[:, nz] @ u[nz]
 
     diag = res.diag
     r = res.rank

@@ -13,15 +13,14 @@ of the block has the first offending row added to its row, and the step
 starts again.  Small pivots keep entry growth tame on incidence-style
 matrices.
 
-S is held as one dict of nonzeros per row plus a column-to-rows index,
-so a swap only updates permutation maps and a step touches only the
-nonzeros of its pivot row and column.  The transforms stay dense, and
-each sweep applies its row or column operations to them as one product:
-the operations of a sweep commute, as each reads only the pivot row or
-column, which the sweep never writes.  They run on int64 under the
-overflow guard below; if an entry would outgrow it, the whole reduction
-reruns in the same body on Python ints (object arrays), so the result is
-exact either way and, the arithmetic being exact in both, the same.
+Everything is held sparse, in dicts of nonzero Python ints: S as one
+dict per row plus a column-to-rows index, and the transforms as one dict
+per column of U, row of V and column of v_inv.  A swap only updates
+permutation maps, and a step touches only the nonzeros of its pivot row
+and column and of the transform lines they combine.  The arithmetic is
+exact, so there is no overflow to guard against; on incidence matrices
+the transforms stay a few percent full, with small entries.  U, V and
+v_inv are made dense (object arrays) once, at the end.
 
 The body also records its row operations on S, in order, as the column
 operations they make on U: a sweep's U[:, r] += sum q * U[:, s], a
@@ -35,21 +34,12 @@ unit rows, in Python ints, at O(1) per operation and row
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# int64 guard: every entry of S, U, V and v_inv stays below this in
-# magnitude, checked on every entry of S written and on every transform
-# entry a sweep's product writes.  Before the product, the sweep's
-# multipliers must have sum(|q|) < 2**31, so sum(|q|) * max|entry| <
-# 2**62 and a written entry stays below 2**31 + 2**62 < 2**63: no int64
-# operation can overflow.
-_GUARD = 1 << 31
-
-
-class _Outgrown(Exception):
-    """An int64 entry reached the guard; rerun on Python ints."""
+from .errors import Error
 
 
 @dataclass(frozen=True)
@@ -57,8 +47,9 @@ class SNFResult:
     """Decomposition M = U @ S @ V with U, V unimodular, S diagonal.
 
     diag holds the invariant factors d_1 | d_2 | ... (nonnegative);
-    v_inv is the exact inverse of V.  All four are object arrays of
-    Python ints.  u_inv_tail() gives the rows rank: of U^-1.
+    v_inv is the exact inverse of V.  All four are dense object arrays of
+    Python ints, made once from the body's sparse lines.  u_inv_tail()
+    gives the rows rank: of U^-1.
     """
 
     U: np.ndarray
@@ -108,66 +99,60 @@ class SNFResult:
         return np.array(y, dtype=object).reshape(m, b).T
 
 
-def _within_guard(arr):
-    return arr.size == 0 or (-_GUARD < int(arr.min()) and
-                             int(arr.max()) < _GUARD)
-
-
 def _int_matrix(M):
-    """M as an int64 array when every entry is below the guard, else as
-    an object array of Python ints."""
-    if isinstance(M, np.ndarray) and M.dtype.kind in "iuO" and \
-            M.ndim == 2 and _within_guard(M):
-        return M.astype(np.int64, copy=False)
-    arr = np.array([[int(x) for x in row] for row in M], dtype=object)
-    if arr.size == 0:              # [] has no row to give the width
-        arr = arr.reshape(np.shape(M) if np.ndim(M) == 2 else (0, 0))
-    return arr.astype(np.int64) if _within_guard(arr) else arr
+    """M as a 2-D array whose entries are numbers (nested lists become
+    an object array); the body checks the nonzeros are integers."""
+    A = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
+    if A.shape == (0,):            # [] has no row to give the width
+        A = A.reshape(0, 0)
+    if A.ndim != 2:
+        raise Error("BAD_PARAMETER", f"matrix must be 2-D, not of shape "
+                                     f"{A.shape}")
+    if A.dtype.kind not in "iufO" or A.dtype.kind == "O" and any(
+            t is bool or not issubclass(t, numbers.Real)
+            for t in set(map(type, A.ravel().tolist()))):
+        raise Error("BAD_PARAMETER", "matrix entries must be numbers")
+    return A
 
 
 def smith_normal_form(M):
-    """Exact SNF; accepts any integer matrix (nested lists or arrays)."""
-    A = _int_matrix(M)
-    if A.dtype == np.int64:
-        try:
-            return _smith(A, np.int64)
-        except _Outgrown:
-            A = A.astype(object)
-    return _smith(A, object)
+    """Exact SNF of an integer matrix (nested lists or a 2-D array);
+    integral floats count as integers, anything else is BAD_PARAMETER."""
+    return _smith(_int_matrix(M))
 
 
-def _smith(A, dtype):
-    """The one reduction body: SNF of A with transforms in arrays of
-    dtype, np.int64 (A's entries below the guard; raises _Outgrown) or
-    object (Python ints)."""
+def _smith(A):
+    """The reduction body: SNF of the 2-D array A of numbers."""
     m, n = A.shape
-    guarded = dtype is np.int64
     # S lives in sparse rows of Python ints, keyed by row and column
     # labels (the original indices): rlab/clab list the labels by current
     # position and rpos/cpos invert them, so a swap only updates these
     # maps, and cols[c] holds the labels of the rows with a nonzero in
-    # column c.  The transforms are dense and stored by label, one row
-    # each: Ut[r] = U[:, r], V[c] = V[c, :] and W[c] = v_inv[:, c].
+    # column c.  The transforms are sparse lines stored by label and
+    # keyed by original index: Ut[r] = U[:, r], V[c] = V[c, :] and
+    # W[c] = v_inv[:, c].
     rows = [{} for _ in range(m)]
     cols = [set() for _ in range(n)]
     ij = np.nonzero(A)
     for i, j, x in zip(ij[0].tolist(), ij[1].tolist(), A[ij].tolist()):
+        if type(x) is not int:
+            if not float(x).is_integer():
+                raise Error("BAD_PARAMETER",
+                            f"matrix entry {x!r} is not an integer")
+            x = int(x)
         rows[i][j] = x
         cols[j].add(i)
     rlab, rpos = list(range(m)), list(range(m))
     clab, cpos = list(range(n)), list(range(n))
-    Ut = np.eye(m, dtype=dtype)
-    V = np.eye(n, dtype=dtype)
-    W = V.copy()
-    u_moved, v_moved = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+    Ut = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]
+    W = [{j: 1} for j in range(n)]
     u_ops = []                     # U's column operations, in order
     diag = []
 
     def put(r, c, x):              # S[r, c] = x
         row = rows[r]
         if x:
-            if guarded and not -_GUARD < x < _GUARD:
-                raise _Outgrown
             if c not in row:
                 cols[c].add(r)
             row[c] = x
@@ -175,25 +160,13 @@ def _smith(A, dtype):
             del row[c]
             cols[c].discard(r)
 
-    def multipliers(qs):           # qs as an array, once every sum fits
-        if guarded and sum(map(abs, qs)) >= _GUARD:
-            raise _Outgrown
-        return np.array(qs, dtype=dtype)
-
-    def check(written):
-        if guarded and np.abs(written).max() >= _GUARD:
-            raise _Outgrown
-
-    def add_rows(X, moved, i, idx, qs):
-        """X[i] += sum of q * X[j] over j, q in idx, qs.  A row not yet
-        written (moved[j] False) is still e_j: it adds q at column j."""
-        qs, idx = multipliers(qs), np.array(idx)
-        unit = ~moved[idx]
-        X[i, idx[unit]] += qs[unit]
-        if not unit.all():
-            X[i] += qs[~unit] @ X[idx[~unit]]
-        moved[i] = True
-        check(X[i])
+    def add(line, other, q):       # line += q * other
+        for k, x in other.items():
+            y = line.get(k, 0) + q * x
+            if y:
+                line[k] = y
+            else:
+                line.pop(k, None)
 
     def swap(lab, pos, a, b):
         lab[a], lab[b] = lab[b], lab[a]
@@ -219,8 +192,7 @@ def _smith(A, dtype):
         swap(clab, cpos, t, cpos[c])
         if rows[r][c] < 0:
             rows[r] = {k: -x for k, x in rows[r].items()}
-            Ut[r] = -Ut[r]
-            u_moved[r] = True
+            Ut[r] = {k: -x for k, x in Ut[r].items()}
             u_ops.append((r, None, None))
         piv = rows[r][c]
 
@@ -235,26 +207,20 @@ def _smith(A, dtype):
                 qs.append(q)
                 for k, x in pivot_row:
                     put(s, k, row.get(k, 0) - q * x)
-            add_rows(Ut, u_moved, r, below, qs)
+                add(Ut[r], Ut[s], q)
             u_ops.append((r, below, qs))
 
         # clear row r: col k -= q * col c, so V[c, :] += q * V[k, :] and
-        # v_inv[:, k] -= q * v_inv[:, c] (only where that is nonzero)
+        # v_inv[:, k] -= q * v_inv[:, c]
         right = sorted((k for k in rows[r] if k != c), key=cpos.__getitem__)
         if right:
             pivot_col = [(s, rows[s][c]) for s in cols[c]]
-            qs = []
             for k in right:
                 q = rows[r][k] // piv
-                qs.append(q)
                 for s, x in pivot_col:
                     put(s, k, rows[s].get(k, 0) - q * x)
-            add_rows(V, v_moved, c, right, qs)
-            nz = np.flatnonzero(W[c])
-            block = np.ix_(right, nz)
-            w = W[block] - np.outer(multipliers(qs), W[c, nz])
-            check(w)
-            W[block] = w
+                add(V[c], V[k], q)
+                add(W[k], W[c], -q)
         if len(cols[c]) > 1 or len(rows[r]) > 1:
             continue               # remainders left: pivot again
 
@@ -267,22 +233,20 @@ def _smith(A, dtype):
         if offender is not None:
             for k, x in list(rows[offender].items()):
                 put(r, k, rows[r].get(k, 0) + x)
-            add_rows(Ut, u_moved, offender, [r], [-1])
+            add(Ut[offender], Ut[r], -1)
             u_ops.append((offender, [r], [-1]))
             continue
         diag.append(piv)
 
-    # position order and Python ints, each int64 array freed as its
-    # object copy is made
-    Ut = Ut[rlab]
-    U = Ut.T.astype(object)
-    del Ut
-    V = V[clab]
-    V = V.astype(object)
-    W = W[clab]
-    Vinv = W.T.astype(object)
-    del W
+    def dense(lines, lab, size):   # row p of the result is lines[lab[p]]
+        X = np.zeros((len(lab), size), dtype=object)
+        for p, label in enumerate(lab):
+            for k, x in lines[label].items():
+                X[p, k] = x
+        return X
+
     S = np.zeros((m, n), dtype=object)
     for t, d in enumerate(diag):
         S[t, t] = d
-    return SNFResult(U, S, V, Vinv, u_ops, rlab)
+    return SNFResult(dense(Ut, rlab, m).T, S, dense(V, clab, n),
+                     dense(W, clab, n).T, u_ops, rlab)

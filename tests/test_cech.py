@@ -6,7 +6,7 @@ import pytest
 
 import csobstruct as cs
 import oracles
-from csobstruct import cech
+from csobstruct import homology
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from csobstruct.manifolds import simplex_boundary
@@ -384,5 +384,5 @@ class TestCurrentGlobality:
                 size = rep.cech_class.coordinates.size
                 cech_zero = (size == 0 or
                              np.abs(rep.cech_class.coordinates).max()
-                             <= cech.CECH_TOL)
+                             <= homology._closedness_tol(w.values))
                 assert rep.globalizable == cech_zero

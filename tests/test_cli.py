@@ -243,6 +243,22 @@ class TestCech:
                             paths["fiber_s1xs2"]])
         assert not r["globalizable"] and "current" not in r
 
+    @pytest.mark.parametrize("scale, exact_part, globalizable", [
+        (5e-9, 0.0, False), (1e-7, 1e3, True)])
+    def test_current_near_the_limit(self, capsys, paths, t3, scale,
+                                    exact_part, globalizable):
+        """scale * g + exact_part * d(beta), g the first free generator:
+        both routes test P_k omega against one limit, so a class just
+        above it, or below it beside a large exact part, gets a verdict."""
+        rng = np.random.default_rng(12)
+        beta = Cochain(1, "real", rng.standard_normal(t3.n_simplices(1)))
+        g = cs.basis(t3, 2).representatives[0]
+        w = exact_part * cs.apply_d(t3, beta).values + scale * g
+        p = paths["root"] / f"near_limit_{scale}.json"
+        p.write_text(dump_cochain(Cochain(2, "real", w)) + "\n")
+        r = report(capsys, ["current", paths["t3"], str(p)])
+        assert r["globalizable"] is globalizable
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, paths, tmp_path):

@@ -20,18 +20,19 @@ def assert_same(a, b):
 
 
 def python_int_run(M):
-    """The reduction body forced onto Python ints."""
-    return snf._smith(as_int(M), object)
+    """The reduction body on Python-int input."""
+    return snf._smith(as_int(M))
 
 
 def spy_on_body(monkeypatch):
-    """Record (input, dtype) of every run of the reduction body."""
+    """Record (input, result) of every run of the reduction body."""
     runs = []
     body = snf._smith
 
-    def spy(A, dtype):
-        runs.append((A.copy(), dtype))
-        return body(A, dtype)
+    def spy(A):
+        res = body(A)
+        runs.append((A.copy(), res))
+        return res
 
     monkeypatch.setattr(snf, "_smith", spy)
     return runs
@@ -123,37 +124,40 @@ def test_kernel_coordinates_roundtrip():
         assert (res.V[res.rank:, :] @ Y == C).all()
 
 
-@pytest.mark.parametrize("M, dtypes", [
-    # an entry past the guard: straight to Python ints
-    ([[2**40, 3], [5, 2**41 + 1]], [object]),
-    (np.array([[-2**63, 1], [3, 2**62]], dtype=np.int64), [object]),
-    # entries under the guard whose reduction grows past it, and past
-    # int64: diag [1, 1, (2**31 - 1)(2**31 - 3)(2**31 - 5)]
-    ([[2**31 - 1, 0, 0], [0, 2**31 - 3, 0], [0, 0, 2**31 - 5]],
-     [np.int64, object]),
+@pytest.mark.parametrize("M", [
+    # entries past 2**31, and at the ends of int64
+    [[2**40, 3], [5, 2**41 + 1]],
+    np.array([[-2**63, 1], [3, 2**62]], dtype=np.int64),
+    # entries under 2**31 whose reduction grows past int64:
+    # diag [1, 1, (2**31 - 1)(2**31 - 3)(2**31 - 5)]
+    [[2**31 - 1, 0, 0], [0, 2**31 - 3, 0], [0, 0, 2**31 - 5]],
 ])
-def test_fallback_is_exact(monkeypatch, M, dtypes):
+def test_large_entries_are_exact(monkeypatch, M):
     runs = spy_on_body(monkeypatch)
     res = smith_normal_form(M)
     monkeypatch.undo()
-    assert [dtype for _, dtype in runs] == dtypes
+    assert len(runs) == 1
     assert_same(res, python_int_run(M))
     check_decomposition(M)
 
 
-def test_fixture_matrices_stay_on_int64(monkeypatch):
-    """Every d_k and every coordinate matrix of the 3-d fixtures reduces
-    on int64, with no fallback, to the Python-int run's transforms."""
-    runs = spy_on_body(monkeypatch)
-    for name in ("s3", "s1xs2", "t3", "rp3"):
-        K = cs.generate(name)
-        for k in range(K.dim + 1):
-            cs.integral_generators(K, k)
-    monkeypatch.undo()
-    assert len(runs) == 12 + 8  # every d_k, and the coordinate matrices
-    for A, dtype in runs:
-        assert dtype is np.int64
-        assert_same(snf._smith(A, np.int64), python_int_run(A))
+@pytest.mark.parametrize("M", [
+    [[1.5]], np.array([[0.5, 2.0]]), [[float("nan")]], [[float("inf")]],
+    [[1, 2], [3]], [1, 2, 3], [[[1, 2]]], 5,
+    [[True, 1]], np.array([[True, False]]), [[1, "2"]], [[None, 1]],
+    [[1, [2]]], [[1j]]])
+def test_malformed_input_is_bad_parameter(M):
+    with pytest.raises(cs.Error) as err:
+        smith_normal_form(M)
+    assert err.value.code == "BAD_PARAMETER"
+
+
+@pytest.mark.parametrize("M", [[[2.0, 4.0]], np.array([[2.0, 4.0]]),
+                               np.array([[2, 4]], dtype=np.uint8)])
+def test_integral_floats_are_integers(M):
+    res = check_decomposition(M)
+    assert res.diag == [2]
+    assert_same(res, smith_normal_form([[2, 4]]))
 
 
 def test_sparse_replay_matches_dense_reference(monkeypatch):
