@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_core import Cochain, INT, REAL, apply_d, fundamental_cycle
-from .cup import cup, pair_with_fundamental
+from .complex_core import Cochain, INT, REAL, apply_d
+from .cup import _cup_faces, _fundamental_signs, cup, pair_with_fundamental
 from .errors import Error
 from .homology import basis
 
@@ -128,33 +128,23 @@ def cs_action(complex_, a):
     return pair_with_fundamental(complex_, cup(complex_, a.as_cochain(), da))
 
 
-def _cs_quadratic_matrix(complex_):
-    """Matrix C with cs_action(A) = A^T C A (memoized per complex)."""
-    return complex_._memo("cs_matrix",
-                          lambda: _build_cs_quadratic_matrix(complex_))
-
-
-def _build_cs_quadratic_matrix(complex_):
-    """Assemble C per top simplex."""
-    n1 = complex_.n_simplices(1)
-    c_mat = np.zeros((n1, n1))
-    z = fundamental_cycle(complex_)
-    d1 = complex_.coboundary_dense(1)
-    idx1 = complex_._index[1]
-    idx2 = complex_._index[2]
-    for eps, tau in zip(z.values, complex_.simplices[3]):
-        front = idx1[tau[:2]]
-        back = idx2[tau[1:]]
-        c_mat[front, :] += float(eps) * d1[back, :]
-    return c_mat
-
-
 def cs_gradient(complex_, a):
-    """Exact gradient of cs_action in the connection entries."""
+    """Exact gradient of cs_action in the connection entries.
+
+    cs_action(A) = sum_tau eps_tau A[front_tau] (dA)[back_tau] over the
+    top simplices tau (front: first edge, back: last triangle), so the
+    gradient is the front sum of eps (dA)[back] plus d_1^T of the back
+    sum of eps A[front]: two gathers through the cup product's faces.
+    """
     if complex_.dim != 3:
         raise Error("DEGREE_OUT_OF_RANGE", "CS gradient needs a 3-complex")
-    c_mat = _cs_quadratic_matrix(complex_)
-    return Cochain(1, REAL, (c_mat + c_mat.T) @ a.values)
+    da = apply_d(complex_, a.as_cochain()).values
+    front, back = _cup_faces(complex_, 1, 2)
+    eps = _fundamental_signs(complex_)
+    grad = np.bincount(front, eps * da[back], complex_.n_simplices(1)) + \
+        complex_.coboundary_matrix(1).T @ np.bincount(
+            back, eps * a.values[front], complex_.n_simplices(2))
+    return Cochain(1, REAL, grad)
 
 
 def cs_gradient_fd(complex_, a, step=1e-6):

@@ -148,7 +148,12 @@ class SimplicialComplex:
             shape=(self.n_simplices(k + 1), self.n_simplices(k)))
 
     def coboundary_dense(self, k):
-        return self.coboundary_matrix(k).toarray().astype(float)
+        """d_k as a dense float array, memoized and so read-only."""
+        def build():
+            d = self.coboundary_matrix(k).toarray().astype(float)
+            d.setflags(write=False)
+            return d
+        return self._memo(("d_dense", k), build)
 
 
 # -- cochains and chains ----------------------------------------------

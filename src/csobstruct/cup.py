@@ -28,8 +28,7 @@ def cup(complex_, alpha, beta):
     if k + l > complex_.dim:
         raise Error("DEGREE_OVERFLOW",
                     f"cup degree {k}+{l} exceeds dim {complex_.dim}")
-    front, back = complex_._memo(("cup_faces", k, l),
-                                 lambda: _cup_faces(complex_, k, l))
+    front, back = _cup_faces(complex_, k, l)
     if alpha.ring == INT and beta.ring == INT:
         a = np.asarray(alpha.values, dtype=object)
         b = np.asarray(beta.values, dtype=object)
@@ -40,12 +39,15 @@ def cup(complex_, alpha, beta):
 
 
 def _cup_faces(complex_, k, l):
-    """Indices of the front k-face and back l-face of each (k+l)-simplex."""
-    taus = complex_.simplices[k + l]
-    idx_k, idx_l = complex_._index[k], complex_._index[l]
-    front = np.array([idx_k[t[:k + 1]] for t in taus], dtype=np.intp)
-    back = np.array([idx_l[t[k:]] for t in taus], dtype=np.intp)
-    return front, back
+    """Indices of the front k-face and back l-face of each (k+l)-simplex
+    (memoized)."""
+    def build():
+        taus = complex_.simplices[k + l]
+        idx_k, idx_l = complex_._index[k], complex_._index[l]
+        front = np.array([idx_k[t[:k + 1]] for t in taus], dtype=np.intp)
+        back = np.array([idx_l[t[k:]] for t in taus], dtype=np.intp)
+        return front, back
+    return complex_._memo(("cup_faces", k, l), build)
 
 
 def pair_with_fundamental(complex_, omega):
@@ -53,13 +55,16 @@ def pair_with_fundamental(complex_, omega):
     if omega.degree != complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE",
                     f"pairing needs degree {complex_.dim}, got {omega.degree}")
-    z = fundamental_cycle(complex_)
     if omega.ring == INT:
-        return int(sum(int(e) * int(v)
-                       for e, v in zip(z.values, omega.values)))
-    signs = complex_._memo("fundamental_signs", lambda: np.asarray(
-        [float(e) for e in z.values]))
-    return float(signs @ omega.values)
+        return int(sum(int(e) * int(v) for e, v in zip(
+            fundamental_cycle(complex_).values, omega.values)))
+    return float(_fundamental_signs(complex_) @ omega.values)
+
+
+def _fundamental_signs(complex_):
+    """The fundamental cycle's signs as floats (memoized)."""
+    return complex_._memo("fundamental_signs", lambda: np.asarray(
+        [float(e) for e in fundamental_cycle(complex_).values]))
 
 
 @dataclass(frozen=True)

@@ -94,30 +94,29 @@ def _reduce(complex_, k):
     U_2, and P_k = (U_2^-1)[r_2:, :] @ V[r:, :] reads their free
     coordinates (at k = 0 there is no image and P_0 = V[r:, :]).  At
     k = dim-1, ker d_{k+1} is all of C^{k+1}, so the SNF of d_k itself
-    splits H^{k+1}, with P_{k+1} = (U^-1)[r:, :].  Only these tail rows
-    of U^-1 are made (SNFResult.u_inv_tail).  Memoized per complex and
-    degree.
+    splits H^{k+1}, with P_{k+1} = (U^-1)[r:, :].  Memoized per complex
+    and degree.
 
-    Both SNFs are the sparse replay of snf.py: S and the transforms in
-    sparse lines of Python ints, pivots taken by the dense rule (first
-    minimal |entry|, row-major), each step touching only the nonzeros of
-    its row and column, so both are exact.  The products are summed over
-    the nonzeros of their left factor in Python ints (_sparse_product),
-    and each generator over the nonzeros of its column of U.
+    Both SNFs are the sparse replay of snf.py, exact on Python ints; each
+    keeps only its record of operations, and this asks it for the slices
+    read here and nothing more: v_inv[:, r:] and V[r:, :] of d_k, and
+    the generator columns of U (_quotient_generators) and the tail rows
+    of U^-1 (u_inv_tail) of the SNF that splits a group, each replayed
+    from the record on sparse lines.  The products are summed over the nonzeros of their left
+    factor in Python ints (_sparse_product).
     """
     def build():
         res = smith_normal_form(complex_.coboundary_matrix(k).toarray())
-        r = res.rank
-        kernel = res.v_inv[:, r:]
+        r, n = res.rank, res.shape[1]
+        kernel = res.v_inv_columns(range(r, n))
+        coords = res.v_rows(range(r, n))
         if k == 0 or kernel.shape[1] == 0:
-            here = ([kernel[:, i] for i in range(kernel.shape[1])], [],
-                    res.V[r:, :].copy())
+            here = (list(kernel.T), [], coords)
         else:
-            coords = _sparse_product(
-                res.V[r:, :], complex_.coboundary_matrix(k - 1).toarray())
-            image = smith_normal_form(coords)
+            image = smith_normal_form(_sparse_product(
+                coords, complex_.coboundary_matrix(k - 1).toarray()))
             here = (*_quotient_generators(image, kernel),
-                    _sparse_product(image.u_inv_tail(), res.V[r:, :]))
+                    _sparse_product(image.u_inv_tail(), coords))
         above = (*_quotient_generators(res), res.u_inv_tail()) \
             if k == complex_.dim - 1 else None
         return here, above
@@ -128,9 +127,10 @@ def _sparse_product(A, B):
     """A @ B in Python ints, summed over the nonzeros of A only.
 
     Only the rows of B that those nonzeros read are turned into Python
-    ints.  A is V[r:, :], with one nonzero per row on every fixture, or
-    a tail of U^-1 with a few, so this skips the dense product's work on
-    zeros; being on Python ints it is exact and needs no overflow guard.
+    ints.  A is V[r:, :], with one nonzero per row on every fixture, a
+    tail of U^-1 or the transposed generator columns of U, each with a
+    few, so this skips the dense product's work on zeros; being on
+    Python ints it is exact and needs no overflow guard.
     """
     out = np.zeros((A.shape[0], B.shape[1]), dtype=object)
     i, j = np.nonzero(A)
@@ -145,20 +145,17 @@ def _quotient_generators(res, lattice=None):
     """(free, torsion) generators of lattice / image.
 
     res is the SNF of the image written in lattice coordinates; lattice
-    holds the basis vectors as columns (None: the standard basis).
+    holds the basis vectors as columns (None: the standard basis).  The
+    generators are the lattice vectors of columns i of U for the free
+    positions i >= rank and the torsion positions (d_i > 1), and only
+    those columns are replayed from res.
     """
-    def vector(i):
-        u = res.U[:, i]
-        if lattice is None:
-            return u.copy()
-        nz = np.flatnonzero(u)
-        return lattice[:, nz] @ u[nz]
-
-    diag = res.diag
-    r = res.rank
-    free = [vector(i) for i in range(r, res.S.shape[0])]
-    torsion = [(diag[i], vector(i)) for i in range(r) if diag[i] > 1]
-    return free, torsion
+    diag, r = res.diag, res.rank
+    torsion = [i for i in range(r) if diag[i] > 1]
+    U = res.u_columns(torsion + list(range(r, res.shape[0])))
+    vectors = list(U.T if lattice is None else _sparse_product(U.T, lattice.T))
+    return vectors[len(torsion):], [
+        (diag[i], u) for i, u in zip(torsion, vectors)]
 
 
 # -- real cohomology basis --------------------------------------------

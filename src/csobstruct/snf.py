@@ -1,7 +1,7 @@
 """Smith normal form over the integers with unimodular transforms.
 
 The reduction is a sparse replay of dense elimination: it performs the
-same elementary operations in the same order, so it returns the same U,
+same elementary operations in the same order, so it gives the same U,
 S, V and v_inv bit for bit (tests/oracles.py keeps the dense form as the
 reference).  Step t pivots on the first minimal-|entry| nonzero of the
 remaining block, in row-major order of the current positions (a row
@@ -13,23 +13,20 @@ of the block has the first offending row added to its row, and the step
 starts again.  Small pivots keep entry growth tame on incidence-style
 matrices.
 
-Everything is held sparse, in dicts of nonzero Python ints: S as one
-dict per row plus a column-to-rows index, and the transforms as one dict
-per column of U, row of V and column of v_inv.  A swap only updates
-permutation maps, and a step touches only the nonzeros of its pivot row
-and column and of the transform lines they combine.  The arithmetic is
-exact, so there is no overflow to guard against; on incidence matrices
-the transforms stay a few percent full, with small entries.  U, V and
-v_inv are made dense (object arrays) once, at the end.
+S is held sparse, in one dict of nonzero Python ints per row plus a
+column-to-rows index; a swap only updates permutation maps, and a step
+touches only the nonzeros of its pivot row and column.  The arithmetic
+is exact, so there is no overflow to guard against.
 
-The body also records its row operations on S, in order, as the column
-operations they make on U: a sweep's U[:, r] += sum q * U[:, s], a
-divisibility fold's U[:, offender] -= U[:, r] and a negation of U[:, r].
-U^-1 itself is never formed.  Its rows rank: on (the tail, with tail @ U
-= [0 | I]; it reads a vector's coordinates in the free part of
-Z^m / im M) are made on demand by replaying that record backwards on
-unit rows, in Python ints, at O(1) per operation and row
-(SNFResult.u_inv_tail).
+The transforms are never formed while reducing.  The body keeps one
+record of its row operations on S and one of its column operations, in
+order and by row and column label, and nothing else: the record is the
+only transform state.  Every transform line (a column of U, a row of
+U^-1, a row of V, a column of v_inv) is made on demand by one replay
+routine, which walks a record backwards from unit lines at the wanted
+labels, on sparse dicts of Python ints (_replay).  A caller asks only
+for the lines it reads, so no m x m or n x n transform is made unless
+it asks for a whole one (the U, V and v_inv properties).
 """
 
 from __future__ import annotations
@@ -46,25 +43,21 @@ from .errors import Error
 class SNFResult:
     """Decomposition M = U @ S @ V with U, V unimodular, S diagonal.
 
-    diag holds the invariant factors d_1 | d_2 | ... (nonnegative);
-    v_inv is the exact inverse of V.  All four are dense object arrays of
-    Python ints, made once from the body's sparse lines.  u_inv_tail()
-    gives the rows rank: of U^-1.
+    Keeps the shape, diag (the invariant factors d_1 | d_2 | ..., then
+    zeros, min(m, n) in all), the row and column operation records and
+    the row and column labels in position order (see _smith).  The
+    methods replay the records into the slices a caller reads, as object
+    arrays of Python ints: columns of U, the rows rank: of U^-1, rows of
+    V and columns of v_inv, the exact inverse of V.  U, S, V and v_inv
+    are whole arrays, made on each request.
     """
 
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-    v_inv: np.ndarray
-    # the record of U's column operations, and the row labels in
-    # position order (see _smith)
-    _u_ops: list = field(repr=False)
+    shape: tuple
+    diag: list
+    _row_ops: list = field(repr=False)
+    _col_ops: list = field(repr=False)
     _rlab: list = field(repr=False)
-
-    @property
-    def diag(self):
-        m, n = self.S.shape
-        return [int(self.S[i, i]) for i in range(min(m, n))]
+    _clab: list = field(repr=False)
 
     @property
     def rank(self):
@@ -74,29 +67,84 @@ class SNFResult:
     def invariant_factors(self):
         return [d for d in self.diag if d != 0]
 
-    def u_inv_tail(self):
-        """Rows rank: of U^-1, exact, as an object array of Python ints.
+    @property
+    def U(self):
+        return self.u_columns(range(self.shape[0]))
 
-        U^-1 = E_N ... E_1 is the product of the row operations on S, so
-        row i is e_i E_N ... E_1: each unit row is pushed back through
-        the record, last operation first.  U[:, i] += q * U[:, j] is the
-        row operation S[j] -= q * S[i], which sends y to y[i] -= q * y[j];
-        a negation of U[:, i] negates y[i].  y[c] holds column c of all
-        wanted rows at once.
-        """
-        m = self.S.shape[0]
-        want = self._rlab[self.rank:]
-        b = len(want)
-        y = [[0] * b for _ in range(m)]
-        for t, lab in enumerate(want):
-            y[lab][t] = 1
-        for i, js, qs in reversed(self._u_ops):
-            if js is None:
-                y[i] = [-x for x in y[i]]
-                continue
+    @property
+    def S(self):
+        S = np.zeros(self.shape, dtype=object)
+        for t, d in enumerate(self.diag):
+            S[t, t] = d
+        return S
+
+    @property
+    def V(self):
+        return self.v_rows(range(self.shape[1]))
+
+    @property
+    def v_inv(self):
+        return self.v_inv_columns(range(self.shape[1]))
+
+    def u_columns(self, positions):
+        """U[:, positions]."""
+        return _replay(self._row_ops, self._rlab, positions, False)
+
+    def u_inv_tail(self):
+        """Rows rank: of U^-1 (tail @ U = [0 | I])."""
+        tail = range(self.rank, self.shape[0])
+        return _replay(self._row_ops, self._rlab, tail, True).T
+
+    def v_rows(self, positions):
+        """V[positions, :]."""
+        return _replay(self._col_ops, self._clab, positions, False).T
+
+    def v_inv_columns(self, positions):
+        """v_inv[:, positions]."""
+        return _replay(self._col_ops, self._clab, positions, True)
+
+
+def _replay(ops, lab, positions, pull):
+    """Transform lines at the given positions, one per column.
+
+    ops records (i, js, qs): U[:, i] += q * U[:, j] for each (j, q), or
+    a negation of U[:, i] when js is None (the row record); or column
+    k -= q * column c of S for each (k, q), which is V[c, :] += q * V[k, :]
+    (the column record, with i = c and js the k).  A transform is the
+    product of these operations, so its line at label l is the unit line
+    e_l walked through the record, last operation first.  A column of U
+    or a row of V is pushed (y[j] += q * y[i]); a row of U^-1 or a
+    column of v_inv is pulled through the inverse operations
+    (y[i] -= q * y[j]); a negation negates y[i].  y[k] holds entry k of
+    every wanted line, so both directions add one sparse dict into
+    another.  Position p holds label lab[p].
+    """
+    y = [{} for _ in lab]
+    for t, p in enumerate(positions):
+        y[lab[p]][t] = 1
+    for i, js, qs in reversed(ops):
+        if js is None:
+            y[i] = {t: -x for t, x in y[i].items()}
+        elif pull:
             for j, q in zip(js, qs):
-                y[i] = [a - q * x for a, x in zip(y[i], y[j])]
-        return np.array(y, dtype=object).reshape(m, b).T
+                _add(y[i], y[j], -q)
+        elif y[i]:
+            for j, q in zip(js, qs):
+                _add(y[j], y[i], q)
+    X = np.zeros((len(lab), len(positions)), dtype=object)
+    for k, line in enumerate(y):
+        for t, x in line.items():
+            X[k, t] = x
+    return X
+
+
+def _add(line, other, q):          # line += q * other
+    for k, x in other.items():
+        y = line.get(k, 0) + q * x
+        if y:
+            line[k] = y
+        else:
+            line.pop(k, None)
 
 
 def _int_matrix(M):
@@ -128,9 +176,7 @@ def _smith(A):
     # labels (the original indices): rlab/clab list the labels by current
     # position and rpos/cpos invert them, so a swap only updates these
     # maps, and cols[c] holds the labels of the rows with a nonzero in
-    # column c.  The transforms are sparse lines stored by label and
-    # keyed by original index: Ut[r] = U[:, r], V[c] = V[c, :] and
-    # W[c] = v_inv[:, c].
+    # column c.  The records hold the operations by label.
     rows = [{} for _ in range(m)]
     cols = [set() for _ in range(n)]
     ij = np.nonzero(A)
@@ -144,10 +190,7 @@ def _smith(A):
         cols[j].add(i)
     rlab, rpos = list(range(m)), list(range(m))
     clab, cpos = list(range(n)), list(range(n))
-    Ut = [{i: 1} for i in range(m)]
-    V = [{j: 1} for j in range(n)]
-    W = [{j: 1} for j in range(n)]
-    u_ops = []                     # U's column operations, in order
+    row_ops, col_ops = [], []
     diag = []
 
     def put(r, c, x):              # S[r, c] = x
@@ -159,14 +202,6 @@ def _smith(A):
         elif c in row:
             del row[c]
             cols[c].discard(r)
-
-    def add(line, other, q):       # line += q * other
-        for k, x in other.items():
-            y = line.get(k, 0) + q * x
-            if y:
-                line[k] = y
-            else:
-                line.pop(k, None)
 
     def swap(lab, pos, a, b):
         lab[a], lab[b] = lab[b], lab[a]
@@ -192,8 +227,7 @@ def _smith(A):
         swap(clab, cpos, t, cpos[c])
         if rows[r][c] < 0:
             rows[r] = {k: -x for k, x in rows[r].items()}
-            Ut[r] = {k: -x for k, x in Ut[r].items()}
-            u_ops.append((r, None, None))
+            row_ops.append((r, None, None))
         piv = rows[r][c]
 
         # clear column c: row s -= q * row r, so U[:, r] += q * U[:, s]
@@ -207,20 +241,19 @@ def _smith(A):
                 qs.append(q)
                 for k, x in pivot_row:
                     put(s, k, row.get(k, 0) - q * x)
-                add(Ut[r], Ut[s], q)
-            u_ops.append((r, below, qs))
+            row_ops.append((r, below, qs))
 
-        # clear row r: col k -= q * col c, so V[c, :] += q * V[k, :] and
-        # v_inv[:, k] -= q * v_inv[:, c]
+        # clear row r: col k -= q * col c
         right = sorted((k for k in rows[r] if k != c), key=cpos.__getitem__)
         if right:
             pivot_col = [(s, rows[s][c]) for s in cols[c]]
+            qs = []
             for k in right:
                 q = rows[r][k] // piv
+                qs.append(q)
                 for s, x in pivot_col:
                     put(s, k, rows[s].get(k, 0) - q * x)
-                add(V[c], V[k], q)
-                add(W[k], W[c], -q)
+            col_ops.append((c, right, qs))
         if len(cols[c]) > 1 or len(rows[r]) > 1:
             continue               # remainders left: pivot again
 
@@ -233,20 +266,9 @@ def _smith(A):
         if offender is not None:
             for k, x in list(rows[offender].items()):
                 put(r, k, rows[r].get(k, 0) + x)
-            add(Ut[offender], Ut[r], -1)
-            u_ops.append((offender, [r], [-1]))
+            row_ops.append((offender, [r], [-1]))
             continue
         diag.append(piv)
 
-    def dense(lines, lab, size):   # row p of the result is lines[lab[p]]
-        X = np.zeros((len(lab), size), dtype=object)
-        for p, label in enumerate(lab):
-            for k, x in lines[label].items():
-                X[p, k] = x
-        return X
-
-    S = np.zeros((m, n), dtype=object)
-    for t, d in enumerate(diag):
-        S[t, t] = d
-    return SNFResult(dense(Ut, rlab, m).T, S, dense(V, clab, n),
-                     dense(W, clab, n).T, u_ops, rlab)
+    diag += [0] * (min(m, n) - len(diag))
+    return SNFResult((m, n), diag, row_ops, col_ops, rlab, clab)

@@ -3,7 +3,8 @@
 Deliberately naive: textbook gcd-sweep diagonalization for invariant
 factors, fraction-free (Bareiss) elimination for ranks and
 determinants, the alternating-face rule for local coboundaries and a
-per-simplex loop for the cup product, sharing no code with the
+per-simplex loop for the cup product and the Chern-Simons quadratic
+form, sharing no code with the
 package's Smith normal form, basis, coboundary or cup machinery.
 dense_smith is the dense form of the package's pivot rule, kept as the
 reference its sparse replay must match bit for bit.  cech_descent is
@@ -54,6 +55,23 @@ def cup_reference(complex_, alpha, beta):
            conv(beta.values[pos_l[tau[k:]]])
            for tau in complex_.simplices[k + l]]
     return np.array(out, dtype=object if exact else float)
+
+
+def cs_quadratic_matrix(complex_):
+    """Dense n_1 x n_1 matrix C with cs_action(A) = A^T C A.
+
+    Each top simplex tau adds eps_tau times row back(tau) of d_1 to row
+    front(tau) of C, with d_1 from local_coboundary and faces looked up
+    by position in the simplex lists; its gradient is (C + C^T) A.
+    """
+    d1 = local_coboundary(complex_, 1).astype(float)
+    pos1 = {s: i for i, s in enumerate(complex_.simplices[1])}
+    pos2 = {s: i for i, s in enumerate(complex_.simplices[2])}
+    C = np.zeros((len(pos1), len(pos1)))
+    for eps, tau in zip(fundamental_cycle(complex_).values,
+                        complex_.simplices[3]):
+        C[pos1[tau[:2]]] += float(eps) * d1[pos2[tau[1:]]]
+    return C
 
 
 def exact_rank(rows):

@@ -6,6 +6,7 @@ from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from conftest import (random_int_cochain, random_int_cocycle,
                       random_real_cochain)
+from oracles import cs_quadratic_matrix
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,24 @@ class TestChernSimons:
             fd = cs.cs_gradient_fd(s3, a).values
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(grad - fd).max() / scale < 1e-6
+
+    def test_gradient_matches_quadratic_form(self, s3, t3, rp3):
+        """The gather gradient equals (C + C^T) A with the dense C."""
+        rng = np.random.default_rng(11)
+        for K in (s3, t3, rp3):
+            C = cs_quadratic_matrix(K)
+            for _ in range(3):
+                a = rng.standard_normal(K.n_simplices(1))
+                grad = cs.cs_gradient(K, cs.Connection(a)).values
+                assert np.abs(grad - (C + C.T) @ a).max() <= 1e-12
+                assert abs(a @ C @ a - cs.cs_action(K, cs.Connection(a))) \
+                    <= 1e-12 * max(1.0, abs(a @ C @ a))
+
+    @pytest.mark.parametrize("n", [0, 3, 11])
+    def test_gradient_wrong_length_is_base_mismatch(self, s3, n):
+        with pytest.raises(Error) as err:
+            cs.cs_gradient(s3, cs.Connection(np.zeros(n)))
+        assert err.value.code == "BASE_MISMATCH"
 
     def test_gradient_vanishes_for_flat(self, t3):
         rng = np.random.default_rng(10)

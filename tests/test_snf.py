@@ -223,6 +223,54 @@ def test_u_inv_tail(monkeypatch):
         assert (tail @ res.U == expect).all()
 
 
+def test_slice_accessors_match_dense_reference(monkeypatch):
+    """Each replayed slice equals the same slice of the dense reference,
+    entry for entry and in Python ints, on partial, unordered position
+    lists that hold every torsion position."""
+    runs = spy_on_body(monkeypatch)
+    for name in ("s3", "s1xs2", "t3", "rp3"):
+        K = cs.generate(name)
+        for k in range(K.dim + 1):
+            cs.integral_generators(K, k)
+    monkeypatch.undo()
+    assert len(runs) == 12 + 8
+    cases = [A for A, _ in runs]
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        m, n = rng.integers(1, 9, size=2)
+        cases.append(rng.integers(-6, 7, size=(m, n))
+                     * (rng.random((m, n)) < 0.5))
+    cases += [[[2, 0], [0, 3]], [[6, 0], [0, 4]], [[0, 4, 0], [6, 0, 0]],
+              [[2, 0, 0], [0, 3, 0], [0, 0, 5]], [[4, 2], [2, 7]],
+              [[6, 0], [0, 4], [0, 0]], [[12, 0, 0], [0, 18, 0]],
+              np.zeros((3, 0), dtype=np.int64),
+              np.zeros((0, 3), dtype=np.int64)]
+    torsion_seen = 0
+
+    def positions(size, torsion):
+        rest = [p for p in rng.permutation(size).tolist()
+                if p not in torsion]
+        picked = torsion + rest[:rng.integers(0, len(rest) + 1)]
+        return [picked[i] for i in rng.permutation(len(picked))]
+
+    def check(x, ref):
+        assert x.dtype == object and x.shape == ref.shape
+        assert all(type(v) is int for v in x.ravel())
+        assert (x == ref).all()
+
+    for M in cases:
+        U, S, V, v_inv = dense_smith(M)
+        res = smith_normal_form(M)
+        m, n = S.shape
+        torsion = [i for i, d in enumerate(res.diag) if d > 1]
+        torsion_seen += len(torsion)
+        rows, cols = positions(m, torsion), positions(n, torsion)
+        check(res.u_columns(rows), U[:, rows])
+        check(res.v_rows(cols), V[cols, :])
+        check(res.v_inv_columns(cols), v_inv[:, cols])
+    assert torsion_seen > 0
+
+
 @pytest.mark.parametrize("M", [
     [], [[]], np.zeros((0, 3), dtype=np.int64),
     np.zeros((3, 0), dtype=np.int64)])
