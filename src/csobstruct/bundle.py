@@ -107,6 +107,8 @@ def gauge_transform(bundle, a, f, m):
     """A' = A + df + 2*pi*m for a real 0-cochain f, integer 1-cocycle m."""
     _check_connection(bundle, a)
     base = bundle.base
+    if f.degree != 0:
+        raise Error("DEGREE_OUT_OF_RANGE", "f must be a 0-cochain")
     if m.degree != 1 or m.ring != INT:
         raise Error("M_NOT_COCYCLE", "m must be an integer 1-cochain")
     dm = apply_d(base, m)

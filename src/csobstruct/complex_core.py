@@ -208,13 +208,18 @@ class Chain:
     values: np.ndarray  # dtype=object, Python ints
 
 
+def _check_length(complex_, cochain):
+    """One value per simplex of the cochain's degree, else BASE_MISMATCH."""
+    if len(cochain.values) != complex_.n_simplices(cochain.degree):
+        raise Error("BASE_MISMATCH", "cochain length does not match complex")
+
+
 def apply_d(complex_, cochain):
     """Coboundary of a cochain; exact for integer coefficients."""
     k = cochain.degree
     if not 0 <= k < complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
-    if len(cochain.values) != complex_.n_simplices(k):
-        raise Error("BASE_MISMATCH", "cochain length does not match complex")
+    _check_length(complex_, cochain)
     if cochain.ring == REAL:
         out = complex_.coboundary_matrix(k) @ cochain.values
         return Cochain(k + 1, REAL, np.asarray(out, dtype=float))
@@ -246,8 +251,6 @@ def _fundamental_cycle_compute(complex_):
     if n < 1:
         raise Error("NOT_CLOSED", "0-dimensional complex has no cycle")
     n_top = complex_.n_simplices(n)
-    d = complex_.coboundary_matrix(n - 1)  # rows: top simplices
-    dT = d.tocsc()
 
     # cofaces of each (n-1)-simplex, with incidence signs
     cofaces = [[] for _ in range(complex_.n_simplices(n - 1))]

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_core import Cochain, INT, REAL, fundamental_cycle
+from .complex_core import (Cochain, INT, REAL, _check_length,
+                           fundamental_cycle)
 from .errors import Error
 from .homology import basis
 
@@ -28,6 +29,8 @@ def cup(complex_, alpha, beta):
     if k + l > complex_.dim:
         raise Error("DEGREE_OVERFLOW",
                     f"cup degree {k}+{l} exceeds dim {complex_.dim}")
+    _check_length(complex_, alpha)
+    _check_length(complex_, beta)
     front, back = _cup_faces(complex_, k, l)
     if alpha.ring == INT and beta.ring == INT:
         a = np.asarray(alpha.values, dtype=object)
@@ -55,6 +58,7 @@ def pair_with_fundamental(complex_, omega):
     if omega.degree != complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE",
                     f"pairing needs degree {complex_.dim}, got {omega.degree}")
+    _check_length(complex_, omega)
     if omega.ring == INT:
         return int(sum(int(e) * int(v) for e, v in zip(
             fundamental_cycle(complex_).values, omega.values)))

@@ -1,10 +1,11 @@
 """Integer and real cohomology: groups, bases, primitives.
 
-Everything is read off exact Smith normal forms, one per coboundary and
-one per image lattice, each made once per complex and kept in its memo
-(Munkres, Elements of Algebraic Topology, Sec. 11).  Besides the
-integral generators, the same reductions give an exact class map P_k,
-an integer matrix that sends a closed k-cochain to its coordinates in
+Everything is read off exact Smith normal forms, made once per complex:
+one per coboundary, kept in the complex's memo (that of d_{dim-1} also
+splits H^dim), and one per image lattice below the top degree (Munkres,
+Elements of Algebraic Topology, Sec. 11).  Besides the integral
+generators, the same reductions give an exact class map P_k, an integer
+matrix that sends a closed k-cochain to its coordinates in
 the free generators: P_k g_i = e_i, P_k t = 0 on torsion generators and
 P_k d_{k-1} = 0.  Real class coordinates are P_k @ v, and the real Betti
 number is the number of free generators (universal coefficients,
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import Cochain, INT, REAL, apply_d
+from .complex_core import Cochain, INT, REAL, _check_length, apply_d
 from .errors import Error
-from .snf import smith_normal_form
+from .snf import SNFResult, smith_normal_form
 
 EXACT_REL_TOL = 1e-9
 EXACT_ABS_TOL = 1e-12
@@ -51,6 +52,9 @@ def homology_groups(complex_, k, coefficients=REAL):
     Betti number is the number of free generators.
     """
     _check_degree(complex_, k)
+    if coefficients not in (INT, REAL):
+        raise Error("BAD_RING",
+                    f"ring must be int or real, got {coefficients}")
     free, torsion, _ = _cohomology(complex_, k)
     if coefficients == REAL:
         return GroupDescriptor(len(free), [])
@@ -71,66 +75,50 @@ def integral_generators(complex_, k):
     return free, torsion
 
 
+def _snf(complex_, k):
+    """smith_normal_form(d_k), made once per complex and degree."""
+    return complex_._memo(("snf", k), lambda: smith_normal_form(
+        complex_.coboundary_matrix(k).toarray()))
+
+
 def _cohomology(complex_, k):
-    """(free, torsion, P_k) of H^k; P_k is the exact class map, one row
-    per free generator, as an object array of Python ints."""
-    if k < complex_.dim:
-        return _reduce(complex_, k)[0]
-    if k == 0:  # 0-dimensional complex: every 0-cochain is a cocycle
-        eye = np.eye(complex_.n_simplices(0), dtype=int).astype(object)
-        return list(eye.T), [], eye
-    return _reduce(complex_, k - 1)[1]
+    """(free, torsion, P_k) of H^k = ker d_k / im d_{k-1}, memoized; P_k
+    is the exact class map, one row per free generator, in Python ints.
 
-
-def _reduce(complex_, k):
-    """H^k, and H^{k+1} at k = dim-1, from one SNF of d_k and one of
-    the image lattice, each as (free, torsion, P).
-
-    With d_k = U S V of rank r, the columns of v_inv[:, r:] are a basis of
-    the lattice ker d_k and V[r:, :] maps a kernel vector to its
-    coordinates in that basis.  The columns of d_{k-1} lie in ker d_k, so
-    a second SNF, C = V[r:, :] @ d_{k-1} = U_2 S_2 V_2 of rank r_2,
-    splits H^k: the generators are the kernel basis times columns of
-    U_2, and P_k = (U_2^-1)[r_2:, :] @ V[r:, :] reads their free
-    coordinates (at k = 0 there is no image and P_0 = V[r:, :]).  At
-    k = dim-1, ker d_{k+1} is all of C^{k+1}, so the SNF of d_k itself
-    splits H^{k+1}, with P_{k+1} = (U^-1)[r:, :].  Memoized per complex
-    and degree.
-
-    Both SNFs are the sparse replay of snf.py, exact on Python ints; each
-    keeps only its record of operations, and this asks it for the slices
-    read here and nothing more: v_inv[:, r:] and V[r:, :] of d_k, and
-    the generator columns of U (_quotient_generators) and the tail rows
-    of U^-1 (u_inv_tail) of the SNF that splits a group, each replayed
-    from the record on sparse lines.  The products are summed over the nonzeros of their left
-    factor in Python ints (_sparse_product).
+    With _snf(k), d_k = U S V of rank r: v_inv[:, r:] is a basis of the
+    lattice ker d_k and V[r:, :] gives a kernel vector's coordinates in it
+    (at k = dim the kernel is all of C^k, in the standard basis).  In those
+    coordinates the image is d_{k-1}, reduced by _snf(k-1), at k = dim;
+    V[r:, :] @ d_{k-1}, reduced here, below it; and zero at k = 0.  With
+    image = U_2 S_2 V_2 of rank r_2, the generators are the kernel vectors
+    of columns of U_2, and P_k = (U_2^-1)[r_2:, :], times V[r:, :] below
+    the top.  Only these slices are replayed from the SNFs' records.
     """
     def build():
-        res = smith_normal_form(complex_.coboundary_matrix(k).toarray())
-        r, n = res.rank, res.shape[1]
-        kernel = res.v_inv_columns(range(r, n))
-        coords = res.v_rows(range(r, n))
-        if k == 0 or kernel.shape[1] == 0:
-            here = (list(kernel.T), [], coords)
+        n, r, kernel, coords = complex_.n_simplices(k), 0, None, None
+        if k < complex_.dim:
+            res = _snf(complex_, k)
+            r = res.rank
+            kernel = res.v_inv_columns(range(r, n))
+            coords = res.v_rows(range(r, n))
+        if k == 0:             # d_{-1} = 0: an SNF with no operations
+            image = SNFResult((n - r, 0), [], [], [], list(range(n - r)), [])
+        elif coords is None:
+            image = _snf(complex_, k - 1)
         else:
             image = smith_normal_form(_sparse_product(
                 coords, complex_.coboundary_matrix(k - 1).toarray()))
-            here = (*_quotient_generators(image, kernel),
-                    _sparse_product(image.u_inv_tail(), coords))
-        above = (*_quotient_generators(res), res.u_inv_tail()) \
-            if k == complex_.dim - 1 else None
-        return here, above
-    return complex_._memo(("generators", k), build)
+        P = image.u_inv_tail()
+        return (*_quotient_generators(image, kernel),
+                P if coords is None else _sparse_product(P, coords))
+    return complex_._memo(("cohomology", k), build)
 
 
 def _sparse_product(A, B):
-    """A @ B in Python ints, summed over the nonzeros of A only.
-
-    Only the rows of B that those nonzeros read are turned into Python
-    ints.  A is V[r:, :], with one nonzero per row on every fixture, a
-    tail of U^-1 or the transposed generator columns of U, each with a
-    few, so this skips the dense product's work on zeros; being on
-    Python ints it is exact and needs no overflow guard.
+    """A @ B in Python ints, summed over the nonzeros of A only and
+    reading only the rows of B they meet: A (V[r:, :], a U^-1 tail or
+    transposed generator columns of U) has a few nonzeros per line.
+    Being exact, it needs no overflow guard.
     """
     out = np.zeros((A.shape[0], B.shape[1]), dtype=object)
     i, j = np.nonzero(A)
@@ -180,8 +168,9 @@ class CohomologyBasis:
         return len(self.representatives)
 
     def coordinates(self, values):
-        if self.size == 0:
-            return np.zeros(0)
+        if len(values) != self._class_map.shape[1]:
+            raise Error("BASE_MISMATCH",
+                        "cochain length does not match the basis")
         return self._class_map @ np.asarray([float(x) for x in values])
 
     def representative_cochains(self):
@@ -220,9 +209,8 @@ def _closedness_tol(values):
 
 
 def require_closed(complex_, cochain):
-    if cochain.degree == complex_.dim and \
-            len(cochain.values) != complex_.n_simplices(cochain.degree):
-        raise Error("BASE_MISMATCH", "cochain length does not match complex")
+    if cochain.degree == complex_.dim:
+        _check_length(complex_, cochain)
     if cochain.degree >= complex_.dim:
         return  # top degree: closed by convention
     dv = apply_d(complex_, cochain).as_float()

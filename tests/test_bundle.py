@@ -168,6 +168,13 @@ class TestGauge:
                                Cochain.zeros(t3, 0), m)
         assert e.value.code == "M_NOT_COCYCLE"
 
+    def test_f_of_degree_one_rejected(self, t3):
+        with pytest.raises(Error) as e:
+            cs.gauge_transform(trivial(t3), zero_conn(t3),
+                               Cochain.zeros(t3, 1),
+                               Cochain.zeros(t3, 1, "int"))
+        assert e.value.code == "DEGREE_OUT_OF_RANGE"
+
 
 class TestChernSimons:
     def test_zero_connection(self, s3):

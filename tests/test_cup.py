@@ -48,6 +48,39 @@ def test_degree_overflow(t3):
     assert e.value.code == "DEGREE_OVERFLOW"
 
 
+def _ones(degree, length, ring="real"):
+    return Cochain.make(degree, ring, [1] * length)
+
+
+def _on_symmetry(obstruction):
+    """obstruction of a symmetry of n values, zero bundle and connection."""
+    return lambda K, n: obstruction(
+        K, cs.VerticalSymmetry(_ones(1, n)),
+        cs.make_bundle(K, Cochain.zeros(K, 2, "int")),
+        cs.Connection(np.zeros(K.n_simplices(1))))
+
+
+WRONG_LENGTH = {
+    "cup_front": lambda K, n: cs.cup(K, _ones(1, n), Cochain.zeros(K, 2)),
+    "cup_back": lambda K, n: cs.cup(K, Cochain.zeros(K, 2), _ones(1, n)),
+    "pair_int": lambda K, n: cs.pair_with_fundamental(K, _ones(3, n, "int")),
+    "pair_real": lambda K, n: cs.pair_with_fundamental(K, _ones(3, n)),
+    "obstruction_pairing": _on_symmetry(cs.obstruction_pairing),
+    "obstruction_class": _on_symmetry(cs.obstruction_class),
+}
+
+
+@pytest.mark.parametrize("shift", [-1, 5])
+@pytest.mark.parametrize("op", sorted(WRONG_LENGTH))
+def test_wrong_length_is_base_mismatch(t3, op, shift):
+    """A cochain with more or fewer values than simplices of its degree
+    (t3: 189 edges, 162 tetrahedra) is rejected, not read in part."""
+    degree = 3 if op.startswith("pair") else 1
+    with pytest.raises(Error) as e:
+        WRONG_LENGTH[op](t3, t3.n_simplices(degree) + shift)
+    assert e.value.code == "BASE_MISMATCH"
+
+
 def test_leibniz_exact_integer(fixtures3d):
     rng = np.random.default_rng(1)
     for K in fixtures3d.values():

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import inspect
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -40,6 +42,12 @@ def test_degree_out_of_range(s3):
     with pytest.raises(Error) as e:
         cs.homology_groups(s3, 7)
     assert e.value.code == "DEGREE_OUT_OF_RANGE"
+
+
+def test_unknown_ring_is_bad_ring(s3):
+    with pytest.raises(Error) as e:
+        cs.homology_groups(s3, 1, "bogus")
+    assert e.value.code == "BAD_RING"
 
 
 def test_s3_connected(s3):
@@ -128,6 +136,75 @@ class TestIntegralGenerators:
             tracemalloc.stop()
         assert peak < 15 * 2**20
 
+
+class TestSinglePath:
+    """Each d_k is reduced once per complex, by homology._snf, and read by
+    H^k and H^{k+1}; each image lattice below the top degree once more."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        seen = []
+        snf = homology.smith_normal_form
+
+        def counting(M):
+            seen.append(np.asarray(M, dtype=object))
+            return snf(M)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        return seen
+
+    @pytest.mark.parametrize("name", ["t3", "rp3"])
+    def test_top_degree_reduces_d2_alone(self, monkeypatch, name):
+        K = cs.generate(name)
+        seen = self.spy(monkeypatch)
+        cs.integral_generators(K, 3)
+        d2 = K.coboundary_matrix(2).toarray()
+        assert len(seen) == 1
+        assert seen[0].shape == d2.shape and (seen[0] == d2).all()
+
+    def test_descending_degrees_make_five_reductions(self, monkeypatch):
+        """d_2, d_1, d_0 and the image lattices of H^2 and H^1."""
+        K = cs.generate("t3")
+        seen = self.spy(monkeypatch)
+        for k in (3, 2, 1, 0):
+            cs.integral_generators(K, k)
+        assert len(seen) == 5
+
+    def test_tracer_sees_every_reduction(self):
+        """perfbench/layertrace.py wraps homology.smith_normal_form and
+        keys each call by the entries of the matrix it is handed; the
+        integral cohomology of t3 gives it five spans and their entries."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+            / "layertrace.py"
+        spec = importlib.util.spec_from_file_location("layertrace", path)
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        K = cs.generate("t3")
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            for k in range(K.dim + 1):
+                cs.integral_generators(K, k)
+        finally:
+            tracer.uninstall()
+        snf_spans = [f for f in tracer.fn
+                     if tracer.names[f] == ("snf", "smith_normal_form")]
+        assert len(snf_spans) == 5
+        assert tracer.counts[(True, "snf.entries")] > 0
+
+
+def test_class_map_of_two_points():
+    """A 0-dimensional complex: H^0 is all of C^0, and its class map is
+    exact, P g_i = e_i in Python ints."""
+    K = cs.SimplicialComplex([(0,), (1,)])
+    free, tors, P = homology._cohomology(K, 0)
+    assert len(free) == 2 and tors == []
+    assert P.dtype == object and all(type(x) is int for x in P.ravel())
+    G = np.column_stack(free)
+    assert all(type(x) is int for x in G.ravel())
+    assert (P @ G == np.eye(2, dtype=int)).all()
+
+
 class TestClassMap:
     """P_k, from the same two reductions as the generators, in exact
     Python ints: P g_i = e_i on the free generators, P t = 0 on the
@@ -183,6 +260,15 @@ class TestClassMap:
 
 
 class TestBasis:
+    @pytest.mark.parametrize("name", ["t3", "s3"])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_coordinates_of_wrong_length(self, request, name, shift):
+        """Rejected whether the H^1 basis is empty (s3) or not (t3)."""
+        K = request.getfixturevalue(name)
+        with pytest.raises(Error) as e:
+            cs.basis(K, 1).coordinates(np.ones(K.n_simplices(1) + shift))
+        assert e.value.code == "BASE_MISMATCH"
+
     def test_sizes(self, s3, s1xs2, t3):
         assert cs.basis(s3, 1).size == 0
         assert cs.basis(s1xs2, 1).size == 1
