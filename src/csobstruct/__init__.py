@@ -22,7 +22,7 @@ from .homology import (CohomologyBasis, GroupDescriptor, PrimitiveResult,
                        basis, cohomology_basis_real, find_primitive,
                        homology_groups, integral_generators)
 from .manifolds import generate, ordered_product
-from .obstruction import (SharpnessVerdict, VerticalSymmetry,
+from .obstruction import (SharpnessVerdict, VerticalSymmetry, h1_pairings,
                           obstruction_class, obstruction_pairing,
                           sharpness_check, symmetry_from_oneform)
 from .snf import SNFResult, smith_normal_form

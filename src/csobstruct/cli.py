@@ -1,5 +1,15 @@
 """Command-line front end emitting deterministic JSON reports.
 
+Every report subcommand is one row of ``_COMMANDS``: its name, its
+handler, its help text and the arguments it takes beyond the complex file
+and ``--out``.  A handler maps (parsed args, loaded complex, cochain
+loader) to its report fields and does nothing else.  ``_report`` reads,
+parses and hashes the complex once for all of them, hashes each cochain
+the handler loads, and adds ``command`` with ``input`` (the complex's
+digest) or ``inputs`` (the complex's, then each cochain's in load order).
+``run`` writes the text, a report or ``generate``'s complex, to stdout or
+``--out``.
+
 Exit codes: 0 success, 1 validation error (bad input), 2 internal
 inconsistency (cross-checking verdicts disagreed).
 """
@@ -7,6 +17,7 @@ inconsistency (cross-checking verdicts disagreed).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -18,8 +29,7 @@ from . import cech as cech_mod
 from . import homology as homology_mod
 from . import manifolds
 from . import obstruction as obstruction_mod
-from .complex_core import (Cochain, INT, REAL, dump_cochain, dump_complex,
-                           load_cochain, load_complex)
+from .complex_core import INT, REAL, dump_complex, load_cochain, load_complex
 from .cup import poincare_pairing_matrix
 from .errors import Error, InconsistencyError
 
@@ -36,8 +46,7 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _emit(report, out=None):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_jsonable)
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -53,16 +62,6 @@ def _jsonable(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _load_complex_arg(path):
-    text = _read(path)
-    return load_complex(text), _digest(text)
-
-
-def _load_cochain_arg(path):
-    text = _read(path)
-    return load_cochain(text), _digest(text)
-
-
 def _round(x, nd=12):
     return round(float(x), nd) + 0.0  # normalize -0.0
 
@@ -71,79 +70,76 @@ def _vec(values):
     return [_round(v) for v in values]
 
 
-# -- subcommand implementations ---------------------------------------
+def _report(handler, args):
+    """The handler's fields plus ``command`` and the input digests, as
+    JSON text."""
+    text = _read(args.complex)
+    digests = [_digest(text)]
 
+    def cochain(path):
+        text = _read(path)
+        digests.append(_digest(text))
+        return load_cochain(text)
 
-def _cmd_generate(args):
-    complex_ = manifolds.generate(args.name)
-    text = dump_complex(complex_)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    report = handler(args, load_complex(text), cochain)
+    report["command"] = args.cmd
+    if len(digests) == 1:
+        report["input"] = digests[0]
     else:
-        print(text)
-    return 0
+        report["inputs"] = digests
+    return json.dumps(report, sort_keys=True, indent=2, default=_jsonable)
 
 
-def _cmd_homology(args):
-    complex_, digest = _load_complex_arg(args.complex)
+def _generate(args):
+    return dump_complex(manifolds.generate(args.name))
+
+
+# -- report handlers: (args, complex, cochain loader) -> fields --------
+
+
+def _homology(args, complex_, cochain):
     g = homology_mod.homology_groups(complex_, args.degree, args.ring)
-    _emit({"command": "homology", "input": digest, "degree": args.degree,
-           "ring": args.ring, "betti": g.betti,
-           "torsion": [int(t) for t in g.torsion], "group": str(g)},
-          args.out)
-    return 0
+    return {"degree": args.degree, "ring": args.ring, "betti": g.betti,
+            "torsion": [int(t) for t in g.torsion], "group": str(g)}
 
 
-def _cmd_primitive(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    omega, odig = _load_cochain_arg(args.cochain)
-    res = homology_mod.find_primitive(complex_, omega, tol=args.tol)
-    report = {"command": "primitive", "inputs": [cdig, odig],
-              "exact": res.exact,
+def _primitive(args, complex_, cochain):
+    res = homology_mod.find_primitive(complex_, cochain(args.cochain),
+                                      tol=args.tol)
+    report = {"exact": res.exact,
               "class_coordinates": _vec(res.class_coordinates)}
     if res.exact:
         report["primitive"] = _vec(res.primitive.values)
-    _emit(report, args.out)
-    return 0
+    return report
 
 
-def _cmd_pairing(args):
-    complex_, digest = _load_complex_arg(args.complex)
+def _pairing(args, complex_, cochain):
     p = poincare_pairing_matrix(complex_, args.degree)
-    _emit({"command": "pairing", "input": digest, "degree": p.degree,
-           "codegree": p.codegree,
-           "matrix": [_vec(row) for row in p.matrix],
-           "nondegenerate": p.nondegenerate}, args.out)
-    return 0
+    return {"degree": p.degree, "codegree": p.codegree,
+            "matrix": [_vec(row) for row in p.matrix],
+            "nondegenerate": p.nondegenerate}
 
 
-def _cmd_chern(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    c, odig = _load_cochain_arg(args.cocycle)
-    b = bundle_mod.make_bundle(complex_, c)
+def _bundle(args, complex_, cochain):
+    return bundle_mod.make_bundle(complex_, cochain(args.cocycle))
+
+
+def _chern(args, complex_, cochain):
+    b = _bundle(args, complex_, cochain)
     h2 = homology_mod.homology_groups(complex_, 2, INT)
-    _emit({"command": "chern", "inputs": [cdig, odig],
-           "real_class": _vec(bundle_mod.real_chern_class(b)),
-           "integral_h2": str(h2)}, args.out)
-    return 0
+    return {"real_class": _vec(bundle_mod.real_chern_class(b)),
+            "integral_h2": str(h2)}
 
 
-def _cmd_flatten(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    c, odig = _load_cochain_arg(args.cocycle)
-    b = bundle_mod.make_bundle(complex_, c)
-    res = bundle_mod.flatten(b)
-    _emit({"command": "flatten", "inputs": [cdig, odig],
-           "flat": res.flat, "residual": _round(res.residual),
-           "tolerance": res.tolerance,
-           "obstruction_coords": _vec(res.obstruction_coords),
-           "connection": _vec(res.connection.values)}, args.out)
-    return 0
+def _flatten(args, complex_, cochain):
+    res = bundle_mod.flatten(_bundle(args, complex_, cochain))
+    return {"flat": res.flat, "residual": _round(res.residual),
+            "tolerance": res.tolerance,
+            "obstruction_coords": _vec(res.obstruction_coords),
+            "connection": _vec(res.connection.values)}
 
 
-def _cmd_cs_grad_check(args):
-    complex_, digest = _load_complex_arg(args.complex)
+def _cs_grad_check(args, complex_, cochain):
     rng = np.random.default_rng(20240)
     worst = 0.0
     for _ in range(5):
@@ -153,45 +149,30 @@ def _cmd_cs_grad_check(args):
         fd = bundle_mod.cs_gradient_fd(complex_, a).values
         scale = max(1.0, float(np.max(np.abs(fd))))
         worst = max(worst, float(np.max(np.abs(grad - fd))) / scale)
-    _emit({"command": "cs-grad-check", "input": digest,
-           "max_relative_error": _round(worst), "samples": 5}, args.out)
-    return 0
+    return {"max_relative_error": _round(worst), "samples": 5}
 
 
-def _cmd_obstruction(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    c, odig = _load_cochain_arg(args.cocycle)
-    b = bundle_mod.make_bundle(complex_, c)
+def _obstruction(args, complex_, cochain):
+    b = _bundle(args, complex_, cochain)
     flat = bundle_mod.flatten(b)
-    report = {"command": "obstruction", "inputs": [cdig, odig],
-              "flat": flat.flat}
+    report = {"flat": flat.flat}
     if args.gamma:
-        gamma, gdig = _load_cochain_arg(args.gamma)
-        sym = obstruction_mod.symmetry_from_oneform(complex_, gamma)
-        report["inputs"].append(gdig)
+        sym = obstruction_mod.symmetry_from_oneform(complex_,
+                                                    cochain(args.gamma))
         report["pairing"] = _round(obstruction_mod.obstruction_pairing(
             complex_, sym, b, flat.connection))
         report["class"] = _vec(obstruction_mod.obstruction_class(
             complex_, sym, b, flat.connection))
     else:
-        h1 = homology_mod.basis(complex_, 1)
-        pairings = [
-            _round(obstruction_mod.obstruction_pairing(
-                complex_, obstruction_mod.VerticalSymmetry(g), b,
-                flat.connection))
-            for g in h1.representative_cochains()]
-        report["pairings"] = pairings
-    _emit(report, args.out)
-    return 0
+        report["pairings"] = _vec(obstruction_mod.h1_pairings(
+            complex_, b, flat.connection)[1])
+    return report
 
 
-def _cmd_sharpness(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    c, odig = _load_cochain_arg(args.cocycle)
-    b = bundle_mod.make_bundle(complex_, c)
-    verdict = obstruction_mod.sharpness_check(complex_, b, tol=args.tol)
-    report = {"command": "sharpness", "inputs": [cdig, odig],
-              "bundle_id": verdict.bundle_id,
+def _sharpness(args, complex_, cochain):
+    verdict = obstruction_mod.sharpness_check(
+        complex_, _bundle(args, complex_, cochain), tol=args.tol)
+    report = {"bundle_id": verdict.bundle_id,
               "flat_exists": verdict.flat_exists,
               "residual": _round(verdict.residual),
               "all_pairings": _vec(verdict.all_pairings)}
@@ -199,44 +180,63 @@ def _cmd_sharpness(args):
         gamma, value = verdict.witness
         report["witness"] = {"gamma": _vec(gamma.values),
                              "pairing": _round(value)}
-    _emit(report, args.out)
-    return 0
+    return report
 
 
-def _cmd_cech_delta(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    omega, odig = _load_cochain_arg(args.cochain)
-    cover = cech_mod.star_cover(complex_)
-    cls = cech_mod.connecting_delta(cover, omega)
+def _cech_delta(args, complex_, cochain):
+    omega = cochain(args.cochain)
+    cls = cech_mod.connecting_delta(cech_mod.star_cover(complex_), omega)
     simplicial = homology_mod.basis(
         complex_, omega.degree).coordinates(omega.as_float())
-    _emit({"command": "cech-delta", "inputs": [cdig, odig],
-           "cech_degree": cls.degree,
-           "cech_coordinates": _vec(cls.coordinates),
-           "simplicial_coordinates": _vec(simplicial),
-           "max_disagreement": _round(float(np.max(np.abs(
-               cls.coordinates - simplicial))) if cls.coordinates.size
-               else 0.0)}, args.out)
-    return 0
+    return {"cech_degree": cls.degree,
+            "cech_coordinates": _vec(cls.coordinates),
+            "simplicial_coordinates": _vec(simplicial),
+            "max_disagreement": _round(np.max(
+                np.abs(cls.coordinates - simplicial), initial=0.0))}
 
 
-def _cmd_current(args):
-    complex_, cdig = _load_complex_arg(args.complex)
-    omega, odig = _load_cochain_arg(args.cochain)
-    cover = cech_mod.star_cover(complex_)
-    report_obj = cech_mod.current_globality(cover, omega)
-    report = {"command": "current", "inputs": [cdig, odig],
-              "globalizable": report_obj.globalizable,
-              "cech_coordinates": _vec(report_obj.cech_class.coordinates),
-              "simplicial_coordinates": _vec(
-                  report_obj.simplicial_coordinates)}
-    if report_obj.current is not None:
-        report["current"] = _vec(report_obj.current.values)
-    _emit(report, args.out)
-    return 0
+def _current(args, complex_, cochain):
+    omega = cochain(args.cochain)
+    res = cech_mod.current_globality(cech_mod.star_cover(complex_), omega)
+    report = {"globalizable": res.globalizable,
+              "cech_coordinates": _vec(res.cech_class.coordinates),
+              "simplicial_coordinates": _vec(res.simplicial_coordinates)}
+    if res.current is not None:
+        report["current"] = _vec(res.current.values)
+    return report
 
 
-# -- argument parsing --------------------------------------------------
+# -- the command table -------------------------------------------------
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_DEGREE = _arg("--degree", type=int, required=True)
+_TOL = _arg("--tol", type=float, default=None)
+_COCHAIN = _arg("cochain")
+_COCYCLE = _arg("cocycle")
+
+# name, handler, help, arguments after the complex file and --out
+_COMMANDS = (
+    ("homology", _homology, "Betti numbers and torsion",
+     [_DEGREE, _arg("--ring", choices=[INT, REAL], default=REAL)]),
+    ("primitive", _primitive,
+     "solve d(beta) = omega or report the obstruction", [_TOL, _COCHAIN]),
+    ("pairing", _pairing, "Poincare duality pairing matrix", [_DEGREE]),
+    ("chern", _chern, "real and integral Chern class data", [_COCYCLE]),
+    ("flatten", _flatten, "least-squares flat connection", [_COCYCLE]),
+    ("cs-grad-check", _cs_grad_check,
+     "finite-difference gradient check of the CS action", []),
+    ("obstruction", _obstruction, "obstruction pairings",
+     [_COCYCLE, _arg("--gamma", help="closed 1-cochain file")]),
+    ("sharpness", _sharpness, "Theorem-2 style biconditional verdict",
+     [_TOL, _COCYCLE]),
+    ("cech-delta", _cech_delta, "Cech connecting homomorphism", [_COCHAIN]),
+    ("current", _current, "globality report for a conserved current",
+     [_COCHAIN]),
+)
 
 
 def _build_parser():
@@ -246,74 +246,18 @@ def _build_parser():
                     "conserved currents on simplicial 3-manifolds.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, complex_=True, out=True, tol=False):
-        if complex_:
-            p.add_argument("complex", help="complex interchange file")
-        if out:
-            p.add_argument("--out", help="write the report to a file")
-        if tol:
-            p.add_argument("--tol", type=float, default=None)
-
     p = sub.add_parser("generate", help="emit a named fixture complex")
     p.add_argument("name")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_generate)
 
-    p = sub.add_parser("homology", help="Betti numbers and torsion")
-    common(p, tol=False)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ring", choices=[INT, REAL], default=REAL)
-    p.set_defaults(func=_cmd_homology)
-
-    p = sub.add_parser("primitive", help="solve d(beta) = omega or report "
-                                         "the obstruction")
-    common(p, tol=True)
-    p.add_argument("cochain")
-    p.set_defaults(func=_cmd_primitive)
-
-    p = sub.add_parser("pairing", help="Poincare duality pairing matrix")
-    common(p)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_pairing)
-
-    p = sub.add_parser("chern", help="real and integral Chern class data")
-    common(p)
-    p.add_argument("cocycle")
-    p.set_defaults(func=_cmd_chern)
-
-    p = sub.add_parser("flatten", help="least-squares flat connection")
-    common(p)
-    p.add_argument("cocycle")
-    p.set_defaults(func=_cmd_flatten)
-
-    p = sub.add_parser("cs-grad-check", help="finite-difference gradient "
-                                             "check of the CS action")
-    common(p)
-    p.set_defaults(func=_cmd_cs_grad_check)
-
-    p = sub.add_parser("obstruction", help="obstruction pairings")
-    common(p)
-    p.add_argument("cocycle")
-    p.add_argument("--gamma", help="closed 1-cochain file")
-    p.set_defaults(func=_cmd_obstruction)
-
-    p = sub.add_parser("sharpness", help="Theorem-2 style biconditional "
-                                         "verdict")
-    common(p, tol=True)
-    p.add_argument("cocycle")
-    p.set_defaults(func=_cmd_sharpness)
-
-    p = sub.add_parser("cech-delta", help="Cech connecting homomorphism")
-    common(p)
-    p.add_argument("cochain")
-    p.set_defaults(func=_cmd_cech_delta)
-
-    p = sub.add_parser("current", help="globality report for a conserved "
-                                       "current")
-    common(p)
-    p.add_argument("cochain")
-    p.set_defaults(func=_cmd_current)
-
+    for name, handler, help_, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("complex", help="complex interchange file")
+        p.add_argument("--out", help="write the report to a file")
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=functools.partial(_report, handler))
     return parser
 
 
@@ -322,7 +266,8 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         homology_mod.check_tol(getattr(args, "tol", None))
-        return args.func(args)
+        _write(args.func(args), args.out)
+        return 0
     except SystemExit as e:
         return int(e.code or 0)
     except InconsistencyError as e:

@@ -36,6 +36,15 @@ def _closure(simplices, dim):
     return by_degree
 
 
+def _is_int(v):
+    """The integer rule for parsed input: ints and integral floats, but
+    not bools, non-integral numbers or non-numbers.  Plain ints, the
+    common case, skip the abstract-class checks."""
+    return type(v) is int or isinstance(v, numbers.Real) and \
+        not isinstance(v, bool) and (isinstance(v, numbers.Integral) or
+                                     float(v).is_integer())
+
+
 class SimplicialComplex:
     """Immutable simplicial complex with canonical per-degree orderings.
 
@@ -47,7 +56,14 @@ class SimplicialComplex:
     """
 
     def __init__(self, top_simplices, top_orientation=None, dim=None):
-        tops = [tuple(int(v) for v in s) for s in top_simplices]
+        try:
+            tops = [tuple(s) for s in top_simplices]
+        except TypeError:
+            raise Error("PARSE_ERROR", "top simplices must be lists")
+        if not all(s and all(map(_is_int, s)) for s in tops):
+            raise Error("PARSE_ERROR",
+                        "top simplices must be nonempty integer lists")
+        tops = [tuple(map(int, s)) for s in tops]
         if not tops:
             raise Error("DANGLING_VERTEX", "empty complex")
         for s in tops:
@@ -74,12 +90,15 @@ class SimplicialComplex:
         self._memo_data = {}
 
         if top_orientation is not None:
-            ori = [int(e) for e in top_orientation]
-            if len(ori) != len(self.simplices[self.dim]) or \
-                    any(e not in (-1, 1) for e in ori):
+            try:
+                ori = list(top_orientation)
+            except TypeError:
+                ori = None
+            if ori is None or len(ori) != len(self.simplices[self.dim]) or \
+                    not all(_is_int(e) and e in (-1, 1) for e in ori):
                 raise Error("BAD_ORIENTATION",
                             "orientation must be one +-1 per top simplex")
-            self.top_orientation = ori
+            self.top_orientation = [int(e) for e in ori]
         else:
             self.top_orientation = None
 
@@ -178,8 +197,7 @@ class Cochain:
                for v in values):
             raise Error("PARSE_ERROR", "cochain values must be numbers")
         if ring == INT:
-            if not all(isinstance(v, numbers.Integral) or
-                       float(v).is_integer() for v in values):
+            if not all(map(_is_int, values)):
                 raise Error("PARSE_ERROR", "int cochain values must be integers")
             arr = np.array([int(v) for v in values], dtype=object)
         else:

@@ -15,8 +15,7 @@ from .complex_core import (Cochain, INT, REAL, _check_length,
                            fundamental_cycle)
 from .errors import Error
 from .homology import basis
-
-NONDEGENERACY_RTOL = 1e-8
+from .snf import smith_normal_form
 
 
 def cup(complex_, alpha, beta):
@@ -26,6 +25,8 @@ def cup(complex_, alpha, beta):
     products are elementwise, in Python ints when both factors are INT.
     """
     k, l = alpha.degree, beta.degree
+    if k < 0 or l < 0:
+        raise Error("DEGREE_OUT_OF_RANGE", f"cup degrees {k} and {l}")
     if k + l > complex_.dim:
         raise Error("DEGREE_OVERFLOW",
                     f"cup degree {k}+{l} exceeds dim {complex_.dim}")
@@ -82,7 +83,12 @@ class PairingMatrix:
 
 
 def poincare_pairing_matrix(complex_, k):
-    """Cup pairing H^k x H^{n-k} -> R evaluated on the fundamental cycle."""
+    """Cup pairing H^k x H^{n-k} -> R evaluated on the fundamental cycle.
+
+    The entries are integers (integral representatives), so the matrix is
+    nondegenerate exactly when it is square and its Smith normal form has
+    full rank; 0x0 is nondegenerate.
+    """
     n = complex_.dim
     bk = basis(complex_, k)
     bnk = basis(complex_, n - k)
@@ -90,10 +96,6 @@ def poincare_pairing_matrix(complex_, k):
     for i, wi in enumerate(bk.representative_cochains()):
         for j, wj in enumerate(bnk.representative_cochains()):
             mat[i, j] = pair_with_fundamental(complex_, cup(complex_, wi, wj))
-    if mat.size == 0:
-        nondeg = bk.size == bnk.size  # 0x0 is vacuously nondegenerate
-    else:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        nondeg = (mat.shape[0] == mat.shape[1]
-                  and sv[-1] > NONDEGENERACY_RTOL * sv[0])
-    return PairingMatrix(k, n - k, mat, bool(nondeg))
+    nondeg = bk.size == bnk.size and \
+        smith_normal_form(mat).rank == bk.size
+    return PairingMatrix(k, n - k, mat, nondeg)

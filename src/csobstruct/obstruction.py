@@ -59,6 +59,18 @@ def obstruction_class(complex_, symmetry, bundle, a):
     return 2.0 * basis(complex_, complex_.dim).coordinates(w.values)
 
 
+def h1_pairings(complex_, bundle, a):
+    """The H^1 basis representatives and the obstruction pairing of each
+    with the bundle at the connection a."""
+    gammas = basis(complex_, 1).representative_cochains()
+    pairings = np.array([
+        obstruction_pairing(complex_,
+                            VerticalSymmetry(g, f"H1 basis element {i}"),
+                            bundle, a)
+        for i, g in enumerate(gammas)], dtype=float)
+    return gammas, pairings
+
+
 @dataclass(frozen=True)
 class SharpnessVerdict:
     bundle_id: str
@@ -75,13 +87,7 @@ def sharpness_check(complex_, bundle, tol=PAIRING_TOL):
     if bundle.base is not complex_:
         raise Error("BASE_MISMATCH", "bundle lives on a different complex")
     flat = flatten(bundle)
-    h1 = basis(complex_, 1)
-    pairings = np.zeros(h1.size)
-    gammas = h1.representative_cochains()
-    for i, g in enumerate(gammas):
-        sym = VerticalSymmetry(g, f"H1 basis element {i}")
-        pairings[i] = obstruction_pairing(complex_, sym, bundle,
-                                          flat.connection)
+    gammas, pairings = h1_pairings(complex_, bundle, flat.connection)
     max_pairing = float(np.max(np.abs(pairings))) if pairings.size else 0.0
     witness = None
     if max_pairing > tol:

@@ -11,9 +11,13 @@ exact 2-cochain, a non-closed 2-cochain, the degree-3 generator, a
 random 3-cochain, cochains of degree 0 and 4, and a closed 1-cochain
 for --gamma.
 
---run sends 48 commands per fixture (192 in all) through cli.run in
-this process and prints, for each, the sha256 of its stdout and stderr,
-its exit code and the command.  Write the inputs once, run this file
+--run sends 48 commands per fixture (192 in all), then 27 help and
+usage cases (the top level with no arguments and with --help, every
+subcommand with --help and with no arguments, an unknown subcommand, a
+non-integer --degree and an unknown --ring), through cli.run in this
+process, with COLUMNS=80 so that help text wraps the same on every
+terminal.  For each it prints the sha256 of its stdout and stderr, its
+exit code and the command.  Write the inputs once, run this file
 from each of two checkouts on the same DIR (copy it into one that lacks
 it), and diff the outputs.  The package is imported from the checkout
 this file sits in.
@@ -26,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -38,6 +43,9 @@ from csobstruct import cli                                  # noqa: E402
 
 FIXTURES = ("s3", "s1xs2", "t3", "rp3")
 TOLS = ("nan", "inf", "-1", "0")
+SUBCOMMANDS = ("generate", "homology", "primitive", "pairing", "chern",
+               "flatten", "cs-grad-check", "obstruction", "sharpness",
+               "cech-delta", "current")
 
 
 def _int_cocycle(rng, K, k):
@@ -123,6 +131,14 @@ def commands(name):
     return cmds
 
 
+def parser_cases():
+    """The 27 help and usage argument lists; s3 stands for its file."""
+    return ([[], ["--help"]] + [[c, "--help"] for c in SUBCOMMANDS] +
+            [[c] for c in SUBCOMMANDS] +
+            [["nope"], ["homology", "s3", "--degree", "a"],
+             ["homology", "s3", "--degree", "1", "--ring", "q"]])
+
+
 def _path(root, name, arg):
     if arg == name:
         return str(root / f"{name}.json")
@@ -132,16 +148,18 @@ def _path(root, name, arg):
 
 
 def run(root):
-    for name in FIXTURES:
-        for cmd in commands(name):
-            argv = [_path(root, name, a) for a in cmd]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.run(argv)
-            digest = hashlib.sha256(
-                json.dumps([out.getvalue(), err.getvalue()]).encode())
-            print(digest.hexdigest(), code, " ".join(cmd))
+    os.environ["COLUMNS"] = "80"
+    cases = [(name, cmd) for name in FIXTURES for cmd in commands(name)]
+    cases += [("s3", cmd) for cmd in parser_cases()]
+    for name, cmd in cases:
+        argv = [_path(root, name, a) for a in cmd]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        digest = hashlib.sha256(
+            json.dumps([out.getvalue(), err.getvalue()]).encode())
+        print(digest.hexdigest(), code, " ".join(cmd))
 
 
 def main():

@@ -46,6 +46,11 @@ def paths(tmp_path_factory, s3, t3, s1xs2, rp3):
     p.write_text(dump_cochain(g) + "\n")
     out["fiber_s1xs2"] = str(p)
 
+    g = cs.basis(s1xs2, 1).representative_cochains()[0]
+    p = root / "gamma_s1xs2.json"
+    p.write_text(dump_cochain(g) + "\n")
+    out["gamma_s1xs2"] = str(p)
+
     out["root"] = root
     return out
 
@@ -95,6 +100,34 @@ class TestHomology:
         err = report(capsys, ["homology", "/no/such/file", "--degree", "1"],
                      expect=1)
         assert "FILE_NOT_FOUND" in err
+
+
+TETRA = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+class TestMalformedComplex:
+    @pytest.mark.parametrize("doc, code", [
+        ({"top_simplices": 5}, "PARSE_ERROR"),
+        ({"top_simplices": [5]}, "PARSE_ERROR"),
+        ({"top_simplices": [[0, "a"]]}, "PARSE_ERROR"),
+        ({"top_simplices": [[]]}, "PARSE_ERROR"),
+        ({"top_simplices": [[0.5, 1, 2]] + TETRA[1:]}, "PARSE_ERROR"),
+        ({"top_simplices": TETRA[:3] + [[True, 2, 3]]}, "PARSE_ERROR"),
+        ({"top_simplices": TETRA, "orientation": "x"}, "BAD_ORIENTATION"),
+        ({"top_simplices": TETRA, "orientation": 5}, "BAD_ORIENTATION"),
+        ({"top_simplices": TETRA, "orientation": [1.5, -1, 1, -1]},
+         "BAD_ORIENTATION"),
+        ({"top_simplices": TETRA, "orientation": [True, -1, 1, -1]},
+         "BAD_ORIENTATION"),
+    ])
+    def test_exits_one_with_code(self, capsys, tmp_path, doc, code):
+        """Bad shapes and vertices are parse errors and any bad orientation
+        is BAD_ORIENTATION; nothing is coerced (0.5 to 0, true to 1)."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        err = report(capsys, ["homology", str(p), "--degree", "0"],
+                     expect=1)
+        assert code in err
 
 
 def _cochain_doc(value, degree="2", ring='"real"'):
@@ -278,3 +311,28 @@ class TestDeterminism:
     def test_cs_grad_check_small_error(self, capsys, paths):
         r = report(capsys, ["cs-grad-check", paths["s3"]])
         assert r["max_relative_error"] < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "circle(4)"],
+    ["homology", "rp3", "--degree", "2", "--ring", "int"],
+    ["primitive", "s3", "exact2_s3"],
+    ["pairing", "t3", "--degree", "1"],
+    ["chern", "s1xs2", "monopole"],
+    ["flatten", "s1xs2", "monopole"],
+    ["cs-grad-check", "s3"],
+    ["obstruction", "s1xs2", "monopole"],
+    ["obstruction", "s1xs2", "monopole", "--gamma", "gamma_s1xs2"],
+    ["sharpness", "s1xs2", "monopole"],
+    ["cech-delta", "s1xs2", "fiber_s1xs2"],
+    ["current", "s3", "exact2_s3"],
+], ids=" ".join)
+def test_out_file_matches_stdout(capsys, paths, tmp_path, argv):
+    """Every subcommand writes the same bytes to --out as to stdout."""
+    argv = [paths.get(a, a) for a in argv]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()

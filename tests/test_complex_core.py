@@ -50,6 +50,14 @@ class TestLoad:
             load_complex("{not json")
         assert e.value.code == "PARSE_ERROR"
 
+    def test_integral_floats_are_integers(self):
+        """The integer rule of cochain values: 1.0 is the vertex 1 and
+        the sign 1; the malformed cases are in test_cli.py."""
+        tops = [[0, 1.0, 2]] + TETRA_BOUNDARY[1:]
+        K = load_complex(doc(tops, orientation=[1.0, -1, 1, -1]))
+        assert dump_complex(K) == dump_complex(load_complex(doc(
+            TETRA_BOUNDARY, orientation=[1, -1, 1, -1])))
+
     def test_roundtrip_matrices_identical(self, t3):
         K2 = load_complex(dump_complex(t3))
         for k in range(3):

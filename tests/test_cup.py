@@ -48,6 +48,16 @@ def test_degree_overflow(t3):
     assert e.value.code == "DEGREE_OVERFLOW"
 
 
+@pytest.mark.parametrize("front", [True, False])
+def test_negative_degree_is_out_of_range(s3, front):
+    """A degree -1 cochain has no values, so it passes the length check;
+    either factor is rejected before the face lookup."""
+    empty, two = Cochain(-1, "real", np.zeros(0)), Cochain.zeros(s3, 2)
+    with pytest.raises(Error) as e:
+        cs.cup(s3, *((empty, two) if front else (two, empty)))
+    assert e.value.code == "DEGREE_OUT_OF_RANGE"
+
+
 def _ones(degree, length, ring="real"):
     return Cochain.make(degree, ring, [1] * length)
 
@@ -168,6 +178,21 @@ def test_pairing_matrices_nondegenerate(fixtures3d):
             assert p.nondegenerate, (name, k)
         p1 = cs.poincare_pairing_matrix(K, 1)
         assert p1.matrix.shape == (expected_sizes[name],) * 2
+
+
+@pytest.mark.parametrize("k, shape, nondegenerate", [
+    (0, (1, 1), True), (1, (0, 2), False), (2, (2, 0), False),
+    (3, (1, 1), True)])
+def test_pairing_matrix_of_suspended_torus(k, shape, nondegenerate):
+    """The suspension of T^2 (C_3 x C_3 coned to 9 and to 10) has H^1 = 0
+    and H^2 = R^2: no duality between degrees 1 and 2."""
+    t2 = cs.ordered_product(cs.generate("circle(3)"),
+                            cs.generate("circle(3)"))
+    K = cs.SimplicialComplex([s + (v,) for s in t2.simplices[2]
+                              for v in (9, 10)])
+    p = cs.poincare_pairing_matrix(K, k)
+    assert p.matrix.shape == shape
+    assert p.nondegenerate is nondegenerate
 
 
 def test_t3_pairing_rank_three(t3):

@@ -242,7 +242,8 @@ class TestClassMap:
                     assert b.coordinates(v).shape == (0,)
 
     def test_no_svd_and_no_float_rank(self, monkeypatch):
-        """Bases and real Betti numbers come from the exact reduction."""
+        """Bases, real Betti numbers and pairing nondegeneracy come from
+        the exact reduction."""
         def forbidden(*args, **kwargs):
             raise AssertionError("float factorization called")
 
@@ -254,9 +255,11 @@ class TestClassMap:
         for k in range(K.dim + 1):
             cs.basis(K, k)
             cs.homology_groups(K, k, "real")
+            cs.poincare_pairing_matrix(K, k)
         L = cs.generate("rp3")
         for k in range(L.dim + 1):
             cs.homology_groups(L, k, "real")
+            cs.poincare_pairing_matrix(L, k)
 
 
 class TestBasis:
