@@ -143,9 +143,10 @@ def cs_gradient(complex_, a):
     da = apply_d(complex_, a.as_cochain()).values
     front, back = _cup_faces(complex_, 1, 2)
     eps = _fundamental_signs(complex_)
+    y = np.bincount(back, eps * a.values[front], complex_.n_simplices(2))
+    rows, cols, signs = complex_._d_triplets(1)
     grad = np.bincount(front, eps * da[back], complex_.n_simplices(1)) + \
-        complex_.coboundary_matrix(1).T @ np.bincount(
-            back, eps * a.values[front], complex_.n_simplices(2))
+        np.bincount(cols, signs * y[rows], complex_.n_simplices(1))
     return Cochain(1, REAL, grad)
 
 

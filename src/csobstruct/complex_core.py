@@ -3,7 +3,10 @@
 Simplices are strictly increasing vertex tuples; within each degree the
 canonical index is lexicographic order on those tuples.  The coboundary
 uses the alternating-face convention: the face obtained by dropping vertex
-i carries sign (-1)^i.  All integer arithmetic is exact (Python ints).
+i carries sign (-1)^i.  d_k is held only as its (row, col, sign) triplets,
+sorted by row and then column; every reader (the real products, the dense
+copies, the exact loops) works from them.  All integer arithmetic is exact
+(Python ints).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import Error
 
@@ -73,7 +75,7 @@ class SimplicialComplex:
             raise Error("DUPLICATE_SIMPLEX", "repeated top simplex")
 
         top_dim = max(len(s) - 1 for s in tops)
-        if dim is not None and dim != top_dim:
+        if dim is not None and not (_is_int(dim) and dim == top_dim):
             raise Error("PARSE_ERROR",
                         f"declared dim {dim} does not match top simplices")
         self.dim = top_dim
@@ -141,35 +143,32 @@ class SimplicialComplex:
     # -- coboundary ----------------------------------------------------
 
     def _d_triplets(self, k):
-        """(row, col, sign) triplets of d_k: C^k -> C^{k+1}."""
+        """(rows, cols, signs) of d_k: C^k -> C^{k+1}, as numpy arrays
+        sorted by row and then column, the order a CSR product sums in."""
         return self._memo(("triplets", k), lambda: self._build_triplets(k))
 
     def _build_triplets(self, k):
-        rows, cols, signs = [], [], []
-        idx_k = self._index[k]
-        for r, tau in enumerate(self.simplices[k + 1]):
-            for i, f in enumerate(faces(tau)):
-                rows.append(r)
-                cols.append(idx_k[f])
-                signs.append(-1 if i % 2 else 1)
-        return rows, cols, signs
+        # dropping a later vertex gives a lex-smaller face: drop the last first
+        drops, n = range(k + 1, -1, -1), self.n_simplices(k + 1)
+        cols = [self._index[k][tau[:i] + tau[i + 1:]]
+                for tau in self.simplices[k + 1] for i in drops]
+        return (np.repeat(np.arange(n), k + 2), np.array(cols, dtype=np.intp),
+                np.tile([(-1) ** i for i in drops], n))
 
-    def coboundary_matrix(self, k):
-        """Sparse integer matrix of d_k : C^k -> C^{k+1} (rows: (k+1)-simplices)."""
-        if not 0 <= k < self.dim:
-            raise Error("DEGREE_OUT_OF_RANGE", f"k={k}, dim={self.dim}")
-        return self._memo(("d", k), lambda: self._build_coboundary(k))
-
-    def _build_coboundary(self, k):
+    def _d_array(self, k, dtype):
+        """A new dense d_k of the given dtype."""
         rows, cols, signs = self._d_triplets(k)
-        return sp.csr_matrix(
-            (np.array(signs, dtype=np.int64), (rows, cols)),
-            shape=(self.n_simplices(k + 1), self.n_simplices(k)))
+        d = np.zeros((self.n_simplices(k + 1), self.n_simplices(k)), dtype)
+        d[rows, cols] = signs
+        return d
 
     def coboundary_dense(self, k):
         """d_k as a dense float array, memoized and so read-only."""
+        if not 0 <= k < self.dim:
+            raise Error("DEGREE_OUT_OF_RANGE", f"k={k}, dim={self.dim}")
+
         def build():
-            d = self.coboundary_matrix(k).toarray().astype(float)
+            d = self._d_array(k, float)
             d.setflags(write=False)
             return d
         return self._memo(("d_dense", k), build)
@@ -196,14 +195,16 @@ class Cochain:
         if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
                for v in values):
             raise Error("PARSE_ERROR", "cochain values must be numbers")
+        try:  # readers of either ring convert the values to floats
+            arr = np.asarray([float(v) for v in values])
+        except OverflowError:
+            raise Error("PARSE_ERROR", "cochain values exceed the float range")
         if ring == INT:
             if not all(map(_is_int, values)):
                 raise Error("PARSE_ERROR", "int cochain values must be integers")
             arr = np.array([int(v) for v in values], dtype=object)
-        else:
-            arr = np.asarray(values, dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise Error("PARSE_ERROR", "real cochain values must be finite")
+        elif not np.all(np.isfinite(arr)):
+            raise Error("PARSE_ERROR", "real cochain values must be finite")
         return Cochain(degree, ring, arr)
 
     @staticmethod
@@ -238,13 +239,14 @@ def apply_d(complex_, cochain):
     if not 0 <= k < complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
     _check_length(complex_, cochain)
-    if cochain.ring == REAL:
-        out = complex_.coboundary_matrix(k) @ cochain.values
-        return Cochain(k + 1, REAL, np.asarray(out, dtype=float))
     rows, cols, signs = complex_._d_triplets(k)
+    if cochain.ring == REAL:
+        out = np.bincount(rows, signs * cochain.values[cols],
+                          complex_.n_simplices(k + 1))
+        return Cochain(k + 1, REAL, out)
     out = [0] * complex_.n_simplices(k + 1)
     vals = cochain.values
-    for r, c, s in zip(rows, cols, signs):
+    for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
         out[r] += s * vals[c]
     return Cochain(k + 1, INT, np.array(out, dtype=object))
 
@@ -272,7 +274,7 @@ def _fundamental_cycle_compute(complex_):
 
     # cofaces of each (n-1)-simplex, with incidence signs
     cofaces = [[] for _ in range(complex_.n_simplices(n - 1))]
-    rows, cols, signs = complex_._d_triplets(n - 1)
+    rows, cols, signs = (a.tolist() for a in complex_._d_triplets(n - 1))
     for r, c, s in zip(rows, cols, signs):
         cofaces[c].append((r, s))
 
@@ -351,12 +353,11 @@ def load_cochain(text):
     for f in ("degree", "ring", "values"):
         if f not in doc:
             raise Error("PARSE_ERROR", f"missing cochain field {f}")
-    degree = doc["degree"]
-    if isinstance(degree, bool) or not isinstance(degree, int):
+    if not _is_int(doc["degree"]):
         raise Error("PARSE_ERROR", "cochain degree must be an integer")
     if not isinstance(doc["values"], list):
         raise Error("PARSE_ERROR", "cochain values must be a list")
-    return Cochain.make(degree, doc["ring"], doc["values"])
+    return Cochain.make(int(doc["degree"]), doc["ring"], doc["values"])
 
 
 def dump_cochain(cochain):

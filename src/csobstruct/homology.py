@@ -78,7 +78,7 @@ def integral_generators(complex_, k):
 def _snf(complex_, k):
     """smith_normal_form(d_k), made once per complex and degree."""
     return complex_._memo(("snf", k), lambda: smith_normal_form(
-        complex_.coboundary_matrix(k).toarray()))
+        complex_._d_array(k, np.int64)))
 
 
 def _cohomology(complex_, k):
@@ -107,7 +107,7 @@ def _cohomology(complex_, k):
             image = _snf(complex_, k - 1)
         else:
             image = smith_normal_form(_sparse_product(
-                coords, complex_.coboundary_matrix(k - 1).toarray()))
+                coords, complex_._d_array(k - 1, np.int64)))
         P = image.u_inv_tail()
         return (*_quotient_generators(image, kernel),
                 P if coords is None else _sparse_product(P, coords))

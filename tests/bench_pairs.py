@@ -1,0 +1,161 @@
+"""Paired timings of two checkouts, for the BENCH_*.json files.
+
+    python3 tests/bench_pairs.py fresh P C --pairs 9 --out B.json
+    python3 tests/bench_pairs.py perfbench P C --pairs 10 --out B.json
+
+P (the parent) and C (the change) are the roots of two checkouts; give
+them paths of equal length.  In each pair both sides run once, the parent
+first in odd pairs and the change first in even ones.
+
+fresh: what a user pays for one command.  Each case runs in a new Python
+process that imports the package from the side's src/: the bare import
+of csobstruct.cli, and cli.run of chern on t3, sharpness on rp3 and
+homology --degree 1 --ring int on t3.  The inputs (the two fixtures, an
+int 2-cocycle on t3 that sums its free generators and the torsion
+generator of rp3) are written once, by this tree's package, to a
+temporary directory.  Each run records its wall time and its CPU time
+(RUSAGE_CHILDREN), in ms.
+
+perfbench: python3 perfbench/run.py --seed <pair> --trace 0 in the
+side's root; each run records the end-to-end metrics of its last line.
+
+Results merge into --out under the mode's name: every run, and per
+metric the medians, the parent's quartiles, and in how many pairs the
+change was better.  The file name does not match test_*.py, so pytest
+does not collect it.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+import csobstruct as cs                                     # noqa: E402
+
+RUN = "import sys, csobstruct.cli as c; sys.exit(c.run(sys.argv[1:]))"
+CASES = {
+    "import": ["-c", "import csobstruct.cli"],
+    "chern t3": ["-c", RUN, "chern", "{t3}", "{t3_int2}"],
+    "sharpness rp3": ["-c", RUN, "sharpness", "{rp3}", "{rp3_int2}"],
+    "homology t3 --degree 1 --ring int":
+        ["-c", RUN, "homology", "{t3}", "--degree", "1", "--ring", "int"],
+}
+
+
+def _write_inputs(root):
+    paths = {}
+    for name in ("t3", "rp3"):
+        K = cs.generate(name)
+        free, torsion = cs.integral_generators(K, 2)
+        vals = sum(free) if free else torsion[0][1]
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(cs.dump_complex(K))
+        paths[f"{name}_int2"] = root / f"{name}.int2.json"
+        paths[f"{name}_int2"].write_text(cs.dump_cochain(
+            cs.Cochain(2, "int", np.asarray(vals, dtype=object))))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _fresh_run(side, inputs):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(side) / "src"))
+    out = {}
+    for case, argv in CASES.items():
+        argv = [a.format(**inputs) for a in argv]
+        cpu0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable] + argv, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        wall = time.perf_counter() - t0
+        cpu1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (cpu1.ru_utime - cpu0.ru_utime) + (cpu1.ru_stime - cpu0.ru_stime)
+        out[f"{case}.wall_ms"] = 1e3 * wall
+        out[f"{case}.cpu_ms"] = 1e3 * cpu
+    return out
+
+
+def _perfbench_run(side, seed):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--seed", str(seed),
+         "--trace", "0"], cwd=side, check=True, capture_output=True,
+        text=True)
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**{k: m["value"] for k, m in last["metrics"].items()},
+            "failed": last["failed"], "correct": last["correct"]}
+
+
+def _summary(pairs, better):
+    out = {}
+    for metric in pairs[0]["parent"]:
+        if metric in ("failed", "correct"):
+            continue
+        p = [r["parent"][metric] for r in pairs]
+        c = [r["change"][metric] for r in pairs]
+        q1, _, q3 = statistics.quantiles(p, n=4)
+        lower = better(metric) == "lower"
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        out[metric] = {
+            "better": better(metric),
+            "parent_median": statistics.median(p),
+            "parent_quartiles": [q1, q3],
+            "change_median": statistics.median(c),
+            "change_over_parent": statistics.median(c) / statistics.median(p),
+            "change_better_in": f"{wins}/{len(pairs)}",
+            "parent_range": [min(p), max(p)],
+            "change_range": [min(c), max(c)],
+        }
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=("fresh", "perfbench"))
+    parser.add_argument("parent", type=pathlib.Path)
+    parser.add_argument("change", type=pathlib.Path)
+    parser.add_argument("--pairs", type=int, default=9)
+    parser.add_argument("--out", type=pathlib.Path, required=True)
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("quartiles need at least 2 pairs")
+    if len(str(args.parent.resolve())) != len(str(args.change.resolve())):
+        parser.error("the two checkout paths must have equal length")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = _write_inputs(pathlib.Path(tmp))
+        pairs = []
+        for i in range(1, args.pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            pair = {}
+            for side in order:
+                root = getattr(args, side)
+                pair[side] = _fresh_run(root, inputs) \
+                    if args.mode == "fresh" else _perfbench_run(root, i)
+            pairs.append(pair)
+            print(f"pair {i}/{args.pairs} done", file=sys.stderr)
+
+    bounds = json.loads((args.change / "BENCHMARK.json").read_text())
+    direction = {m["name"]: m["better"] for m in bounds["end_to_end"]}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc[args.mode] = {
+        "host": f"{os.cpu_count()} cores, {platform.machine()}, Python "
+                f"{platform.python_version()}, numpy {np.__version__}",
+        "order": "the parent first in odd pairs, the change in even ones",
+        "summary": _summary(pairs, lambda m: direction.get(
+            m.rsplit(".", 1)[-1], "lower")),
+        "pairs": pairs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,8 @@ reference its sparse replay must match bit for bit.  cech_descent is
 the level-by-level Cech descent on the closed-star cover, the reference
 for the closed form of cech.connecting_delta, and duality_coordinates
 reads class coordinates by Poincare duality, without the class map.
+coboundary_csr is the one exception: it puts the package's own d_k
+triplets into a scipy CSR matrix, for tests that read d_k as a matrix.
 """
 
 import bisect
@@ -19,9 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from csobstruct import fundamental_cycle, integral_generators
 from csobstruct.complex_core import Cochain
+
+
+def coboundary_csr(complex_, k):
+    """The package's d_k: C^k -> C^{k+1} as an int64 CSR matrix."""
+    rows, cols, signs = complex_._d_triplets(k)
+    return sp.csr_matrix((signs.astype(np.int64), (rows, cols)), shape=(
+        complex_.n_simplices(k + 1), complex_.n_simplices(k)))
 
 
 def local_coboundary(sub, k):
@@ -186,9 +196,9 @@ def invariant_factors(rows):
 
 def betti(complex_, k):
     """Real Betti number from exact ranks of the coboundaries."""
-    up = exact_rank(complex_.coboundary_matrix(k).toarray().tolist()) \
+    up = exact_rank(coboundary_csr(complex_, k).toarray().tolist()) \
         if k < complex_.dim else 0
-    down = exact_rank(complex_.coboundary_matrix(k - 1).toarray().tolist()) \
+    down = exact_rank(coboundary_csr(complex_, k - 1).toarray().tolist()) \
         if k > 0 else 0
     return complex_.n_simplices(k) - up - down
 
@@ -197,7 +207,7 @@ def torsion(complex_, k):
     """Torsion of H^k from invariant factors of d_{k-1}."""
     if k <= 0:
         return []
-    mat = complex_.coboundary_matrix(k - 1).toarray().tolist()
+    mat = coboundary_csr(complex_, k - 1).toarray().tolist()
     return [d for d in invariant_factors(mat) if d > 1]
 
 

@@ -119,6 +119,7 @@ class TestMalformedComplex:
          "BAD_ORIENTATION"),
         ({"top_simplices": TETRA, "orientation": [True, -1, 1, -1]},
          "BAD_ORIENTATION"),
+        ({"top_simplices": [[0, 1]], "dim": True}, "PARSE_ERROR"),
     ])
     def test_exits_one_with_code(self, capsys, tmp_path, doc, code):
         """Bad shapes and vertices are parse errors and any bad orientation
@@ -161,6 +162,25 @@ class TestPrimitive:
         p.write_text(doc)
         err = report(capsys, ["primitive", paths["s3"], str(p)], expect=1)
         assert "PARSE_ERROR" in err
+
+
+@pytest.mark.parametrize("cmd, degree, ring", [
+    ("primitive", 1, "real"), ("current", 1, "real"), ("chern", 2, "int"),
+    ("flatten", 2, "int"), ("sharpness", 2, "int")])
+def test_value_beyond_float_range_is_parse_error(capsys, paths, t3, cmd,
+                                                 degree, ring):
+    """A real 1-cochain holding a 401-digit integer, or an int 2-cocycle
+    scaled by 10^400: no float can hold them."""
+    if ring == "real":
+        values = [10 ** 400] + [0] * (t3.n_simplices(1) - 1)
+    else:
+        g = cs.integral_generators(t3, 2)[0][0]
+        values = [int(v) * 10 ** 400 for v in g]
+    p = paths["root"] / f"huge_{cmd}.json"
+    p.write_text(json.dumps({"degree": degree, "ring": ring,
+                             "values": values}))
+    err = report(capsys, [cmd, paths["t3"], str(p)], expect=1)
+    assert "PARSE_ERROR" in err
 
 
 class TestTolerance:

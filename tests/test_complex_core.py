@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +10,10 @@ import pytest
 import csobstruct as cs
 from csobstruct.complex_core import (Cochain, SimplicialComplex, apply_d,
                                      dump_complex, fundamental_cycle,
-                                     load_complex)
+                                     load_cochain, load_complex)
+from csobstruct.cup import _cup_faces, _fundamental_signs
 from csobstruct.errors import Error
-from oracles import local_coboundary, star_cover
+from oracles import coboundary_csr, local_coboundary, star_cover
 
 
 def star_of_simplex(K, s):
@@ -58,11 +63,21 @@ class TestLoad:
         assert dump_complex(K) == dump_complex(load_complex(doc(
             TETRA_BOUNDARY, orientation=[1, -1, 1, -1])))
 
+    def test_integral_float_degree_is_an_integer(self):
+        c = load_cochain(json.dumps(
+            {"degree": 2.0, "ring": "int", "values": [1, 2]}))
+        assert c.degree == 2 and type(c.degree) is int
+        for bad in (True, 2.5, "2"):
+            with pytest.raises(Error) as e:
+                load_cochain(json.dumps(
+                    {"degree": bad, "ring": "int", "values": [1, 2]}))
+            assert e.value.code == "PARSE_ERROR"
+
     def test_roundtrip_matrices_identical(self, t3):
         K2 = load_complex(dump_complex(t3))
         for k in range(3):
-            a = t3.coboundary_matrix(k).toarray()
-            b = K2.coboundary_matrix(k).toarray()
+            a = coboundary_csr(t3, k).toarray()
+            b = coboundary_csr(K2, k).toarray()
             assert (a == b).all()
         assert dump_complex(K2) == dump_complex(t3)
 
@@ -70,7 +85,7 @@ class TestLoad:
 class TestCoboundary:
     def test_edge_matrix_shape_and_rows(self):
         K = SimplicialComplex(TETRA_BOUNDARY)
-        d0 = K.coboundary_matrix(0).toarray()
+        d0 = coboundary_csr(K, 0).toarray()
         assert d0.shape == (6, 4)
         for row in d0:
             assert sorted(row) == [-1, 0, 0, 1]
@@ -78,18 +93,18 @@ class TestCoboundary:
     def test_dd_zero_all_fixtures(self, fixtures3d, sphere2):
         for K in list(fixtures3d.values()) + [sphere2]:
             for k in range(K.dim - 1):
-                prod = K.coboundary_matrix(k + 1) @ K.coboundary_matrix(k)
+                prod = coboundary_csr(K, k + 1) @ coboundary_csr(K, k)
                 assert prod.nnz == 0 or not prod.toarray().any()
 
     def test_rank_d2_pentachoron(self, s3):
         # consistent with b2(S^3) = 0, b3 = 1: rank = #tets - b3 = 4
-        d2 = s3.coboundary_matrix(2).toarray()
+        d2 = coboundary_csr(s3, 2).toarray()
         from oracles import exact_rank
         assert exact_rank(d2.tolist()) == 4
 
     def test_degree_out_of_range(self, sphere2):
         with pytest.raises(Error) as e:
-            sphere2.coboundary_matrix(2)
+            sphere2.coboundary_dense(2)
         assert e.value.code == "DEGREE_OUT_OF_RANGE"
 
 
@@ -111,16 +126,52 @@ class TestApplyD:
             assert abs(int(v)) == (1 if i in incident else 0)
 
 
+class TestSummationOrder:
+    """Real products sum each row in ascending column order, as the CSR
+    products that the library used before did, so printed digits stay."""
+
+    def test_apply_d_matches_csr(self, fixtures3d):
+        rng = np.random.default_rng(16)
+        for K in fixtures3d.values():
+            for k in range(K.dim):
+                v = rng.standard_normal(K.n_simplices(k))
+                got = apply_d(K, Cochain(k, "real", v)).values
+                assert (got == coboundary_csr(K, k) @ v).all()
+
+    def test_cs_gradient_matches_csr(self, fixtures3d):
+        rng = np.random.default_rng(17)
+        for K in fixtures3d.values():
+            a = rng.standard_normal(K.n_simplices(1))
+            d1 = coboundary_csr(K, 1)
+            front, back = _cup_faces(K, 1, 2)
+            eps = _fundamental_signs(K)
+            want = np.bincount(front, eps * (d1 @ a)[back],
+                               K.n_simplices(1)) + d1.T @ np.bincount(
+                back, eps * a[front], K.n_simplices(2))
+            assert (cs.cs_gradient(K, cs.Connection(a)).values == want).all()
+
+
+def test_cli_import_loads_no_scipy():
+    src = pathlib.Path(cs.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, csobstruct, csobstruct.cli; "
+         "print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "csobstruct.cli" in out
+    assert [m for m in out if m == "scipy" or m.startswith("scipy.")] == []
+
+
 class TestFundamentalCycle:
     def test_sphere2(self, sphere2):
         z = fundamental_cycle(sphere2)
-        d = sphere2.coboundary_matrix(1).toarray()
+        d = coboundary_csr(sphere2, 1).toarray()
         assert not (d.T @ np.array([int(v) for v in z.values])).any()
 
     def test_s3_and_reversal(self, s3):
         z = fundamental_cycle(s3)
         signs = np.array([int(v) for v in z.values])
-        d = s3.coboundary_matrix(2).toarray()
+        d = coboundary_csr(s3, 2).toarray()
         assert not (d.T @ signs).any()
         assert not (d.T @ (-signs)).any()
 
