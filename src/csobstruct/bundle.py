@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_core import Cochain, INT, REAL, apply_d
+from .complex_core import Cochain, INT, REAL, _check_length, apply_d
 from .cup import _cup_faces, _fundamental_signs, cup, pair_with_fundamental
 from .errors import Error
-from .homology import basis
+from .homology import _least_squares, basis, require_closed
 
 FLAT_RTOL = 1e-9
 
@@ -49,35 +49,31 @@ class FlatResult:
 
 
 def make_bundle(complex_, c):
-    """Validate the Chern cocycle (degree 2, integer, exactly closed)."""
+    """Validate the Chern cocycle: degree 2, integer, exactly closed, and
+    with 2*pi*c and its real class within the float range."""
     if c.degree != 2 or c.ring != INT:
         raise Error("NOT_A_COCYCLE", "Chern cocycle must be an integer 2-cochain")
-    if len(c.values) != complex_.n_simplices(2):
-        raise Error("BASE_MISMATCH", "cocycle length does not match complex")
-    if complex_.dim > 2:
-        dc = apply_d(complex_, c)
-        if any(int(v) != 0 for v in dc.values):
-            raise Error("NOT_A_COCYCLE", "dc != 0 over Z")
-    return U1Bundle(complex_, c)
-
-
-def _check_connection(bundle, a):
-    if len(a.values) != bundle.base.n_simplices(1):
-        raise Error("BASE_MISMATCH", "connection length does not match base")
+    _check_length(complex_, c)
+    require_closed(complex_, c, "NOT_A_COCYCLE")
+    bundle = U1Bundle(complex_, c)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(2.0 * np.pi * c.as_float()).all() and \
+            np.isfinite(real_chern_class(bundle)).all()
+    if not finite:
+        raise Error("PARSE_ERROR", "Chern cocycle exceeds the float range")
+    return bundle
 
 
 def curvature(bundle, a):
     """F = dA + 2*pi*c; Bianchi dF = 0 holds automatically."""
-    _check_connection(bundle, a)
     da = apply_d(bundle.base, a.as_cochain()).values
-    c = np.asarray([float(v) for v in bundle.chern_cocycle.values])
-    return Cochain(2, REAL, da + 2.0 * np.pi * c)
+    return Cochain(2, REAL, da + 2.0 * np.pi * bundle.chern_cocycle.as_float())
 
 
 def real_chern_class(bundle):
     """Coordinates of [F] = 2*pi*[c] in the real H^2 basis (any A)."""
-    c = np.asarray([float(v) for v in bundle.chern_cocycle.values])
-    return 2.0 * np.pi * basis(bundle.base, 2).coordinates(c)
+    return 2.0 * np.pi * basis(bundle.base, 2).coordinates(
+        bundle.chern_cocycle.as_float())
 
 
 def flatten(bundle):
@@ -87,36 +83,26 @@ def flatten(bundle):
     Chern class does; both are reported so the equivalence can be
     cross-checked.
     """
-    base = bundle.base
-    d1 = base.coboundary_dense(1)
-    c = np.asarray([float(v) for v in bundle.chern_cocycle.values])
-    rhs = -2.0 * np.pi * c
-    a_star, *_ = np.linalg.lstsq(d1, rhs, rcond=None)
-    if not np.all(np.isfinite(a_star)):
-        raise Error("SOLVER_FAILURE", "least-squares produced non-finite A")
-    conn = Connection(a_star)
-    f = curvature(bundle, conn).values
+    c = bundle.chern_cocycle.as_float()
+    a_star, f = _least_squares(bundle.base, 2, -2.0 * np.pi * c)
     residual = float(np.max(np.abs(f))) if f.size else 0.0
     scale = 2.0 * np.pi * float(np.max(np.abs(c))) if c.size else 0.0
     tol = FLAT_RTOL * (1.0 + scale)
-    return FlatResult(conn, residual, residual <= tol,
+    return FlatResult(Connection(a_star), residual, residual <= tol,
                       real_chern_class(bundle), tol)
 
 
 def gauge_transform(bundle, a, f, m):
     """A' = A + df + 2*pi*m for a real 0-cochain f, integer 1-cocycle m."""
-    _check_connection(bundle, a)
     base = bundle.base
+    _check_length(base, a.as_cochain())
     if f.degree != 0:
         raise Error("DEGREE_OUT_OF_RANGE", "f must be a 0-cochain")
     if m.degree != 1 or m.ring != INT:
         raise Error("M_NOT_COCYCLE", "m must be an integer 1-cochain")
-    dm = apply_d(base, m)
-    if any(int(v) != 0 for v in dm.values):
-        raise Error("M_NOT_COCYCLE", "dm != 0 over Z")
+    require_closed(base, m, "M_NOT_COCYCLE")
     df = apply_d(base, f).values
-    mm = np.asarray([float(v) for v in m.values])
-    return Connection(a.values + df + 2.0 * np.pi * mm)
+    return Connection(a.values + df + 2.0 * np.pi * m.as_float())
 
 
 # -- Chern-Simons functional (trivialized bundle) ----------------------

@@ -93,7 +93,7 @@ def connecting_delta(cover, omega):
     k = omega.degree
     if not 1 <= k <= complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
-    cocycle = Cochain(k, REAL, np.array(omega.as_float(), dtype=float))
+    cocycle = Cochain(k, REAL, omega.as_float())
     return CechClass(k, cocycle,
                      basis(complex_, k).coordinates(cocycle.values))
 

@@ -54,14 +54,6 @@ def _write(text, out):
         print(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(x) for x in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _round(x, nd=12):
     return round(float(x), nd) + 0.0  # normalize -0.0
 
@@ -87,7 +79,7 @@ def _report(handler, args):
         report["input"] = digests[0]
     else:
         report["inputs"] = digests
-    return json.dumps(report, sort_keys=True, indent=2, default=_jsonable)
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _generate(args):

@@ -156,22 +156,12 @@ class SimplicialComplex:
                 np.tile([(-1) ** i for i in drops], n))
 
     def _d_array(self, k, dtype):
-        """A new dense d_k of the given dtype."""
-        rows, cols, signs = self._d_triplets(k)
+        """A new dense d_k of the given dtype; d_{-1} has no columns."""
         d = np.zeros((self.n_simplices(k + 1), self.n_simplices(k)), dtype)
-        d[rows, cols] = signs
+        if d.size:
+            rows, cols, signs = self._d_triplets(k)
+            d[rows, cols] = signs
         return d
-
-    def coboundary_dense(self, k):
-        """d_k as a dense float array, memoized and so read-only."""
-        if not 0 <= k < self.dim:
-            raise Error("DEGREE_OUT_OF_RANGE", f"k={k}, dim={self.dim}")
-
-        def build():
-            d = self._d_array(k, float)
-            d.setflags(write=False)
-            return d
-        return self._memo(("d_dense", k), build)
 
 
 # -- cochains and chains ----------------------------------------------
@@ -215,8 +205,8 @@ class Cochain:
         return Cochain(degree, REAL, np.zeros(n))
 
     def as_float(self):
-        return np.asarray([float(v) for v in self.values]) \
-            if self.ring == INT else self.values
+        """A new float array of the values, each converted as float(v)."""
+        return self.values.astype(float)
 
 
 @dataclass(frozen=True)

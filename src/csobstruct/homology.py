@@ -208,16 +208,37 @@ def _closedness_tol(values):
     return max(EXACT_ABS_TOL, EXACT_REL_TOL * norm)
 
 
-def require_closed(complex_, cochain):
+def require_closed(complex_, cochain, code="NOT_CLOSED"):
+    """Raise code unless d v = 0: exactly in Python ints for an int
+    cochain, within the closedness tolerance for a real one."""
     if cochain.degree == complex_.dim:
         _check_length(complex_, cochain)
     if cochain.degree >= complex_.dim:
         return  # top degree: closed by convention
-    dv = apply_d(complex_, cochain).as_float()
+    dv = apply_d(complex_, cochain).values
+    if cochain.ring == INT:
+        if any(v != 0 for v in dv):
+            raise Error(code, "coboundary is not zero over Z")
+        return
     limit = _closedness_tol(cochain.values)
     if dv.size and not float(np.max(np.abs(dv))) <= limit:  # NaN fails
-        raise Error("NOT_CLOSED",
+        raise Error(code,
                     f"coboundary norm {np.max(np.abs(dv)):.3e} exceeds {limit:.3e}")
+
+
+def _least_squares(complex_, k, values):
+    """(x, d x - values) for a least-squares x of d_{k-1} x = values.
+
+    The library's one dense float coboundary and its one solve: d_{k-1}
+    is memoized per complex, and at k = 0 it is the n_0 x 0 zero matrix.
+    """
+    _check_degree(complex_, k)
+    d = complex_._memo(("d_dense", k - 1),
+                       lambda: complex_._d_array(k - 1, float))
+    x, *_ = np.linalg.lstsq(d, values, rcond=None)
+    if not np.all(np.isfinite(x)):
+        raise Error("SOLVER_FAILURE", "least squares gave a non-finite x")
+    return x, d @ x - values
 
 
 @dataclass(frozen=True)
@@ -243,14 +264,7 @@ def find_primitive(complex_, cochain, tol=None):
     coords = basis(complex_, k).coordinates(vals)
     if coords.size and float(np.max(np.abs(coords))) > limit:
         return PrimitiveResult(None, coords)
-    if k == 0:
-        # no degree -1: only the zero cochain is exact
-        if vals.size and float(np.max(np.abs(vals))) > limit:
-            return PrimitiveResult(None, coords)
-        return PrimitiveResult(Cochain(0, REAL, np.zeros(0)), coords)
-    d = complex_.coboundary_dense(k - 1)
-    beta, *_ = np.linalg.lstsq(d, vals, rcond=None)
-    residual = d @ beta - vals
+    beta, residual = _least_squares(complex_, k, vals)
     if residual.size and float(np.max(np.abs(residual))) > limit:
         return PrimitiveResult(None, coords)
     return PrimitiveResult(Cochain(k - 1, REAL, beta), coords)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import csobstruct as cs
+from csobstruct import cech, obstruction
 from csobstruct.cli import run
 from csobstruct.complex_core import Cochain, dump_cochain, dump_complex
 from conftest import random_int_cochain
@@ -181,6 +183,70 @@ def test_value_beyond_float_range_is_parse_error(capsys, paths, t3, cmd,
                              "values": values}))
     err = report(capsys, [cmd, paths["t3"], str(p)], expect=1)
     assert "PARSE_ERROR" in err
+
+
+@pytest.mark.parametrize("cmd", ["primitive", "cech-delta", "current",
+                                 "obstruction"])
+def test_int_non_cocycle_is_not_closed(capsys, paths, t3, cmd):
+    """10^13 times a free generator, one entry raised by 1 (a 1-cochain,
+    as --gamma, for obstruction): its coboundary is far inside the real
+    tolerance, but an int cochain is closed only when d v = 0 exactly."""
+    k = 1 if cmd == "obstruction" else 2
+    values = [10 ** 13 * int(v) for v in cs.integral_generators(t3, k)[0][0]]
+    values[0] += 1
+    p = paths["root"] / f"near_cocycle_{cmd}.json"
+    p.write_text(json.dumps({"degree": k, "ring": "int", "values": values}))
+    argv = [cmd, paths["t3"], str(p)]
+    if cmd == "obstruction":
+        argv = [cmd, paths["t3"], paths["trivial_t3"], "--gamma", str(p)]
+    err = report(capsys, argv, expect=1)
+    assert "NOT_CLOSED" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["t3", "s3"])
+@pytest.mark.parametrize("cmd", ["chern", "flatten", "sharpness",
+                                 "obstruction"])
+def test_cocycle_at_float_limit_is_parse_error(capsys, paths, request, cmd,
+                                               name):
+    """10^308 times a free generator of t3, and the constant 10^308 on s3:
+    int 2-cocycles whose values are floats but 2*pi*c is not.  The error
+    is the only output, with no numpy warning."""
+    K = request.getfixturevalue(name)
+    if name == "t3":
+        g = cs.integral_generators(K, 2)[0][0]
+        values = [10 ** 308 * int(v) for v in g]
+    else:
+        values = [10 ** 308] * K.n_simplices(2)
+    p = paths["root"] / f"limit_{name}.json"
+    p.write_text(json.dumps({"degree": 2, "ring": "int", "values": values}))
+    err = report(capsys, [cmd, paths[name], str(p)], expect=1)
+    assert err.startswith("error: PARSE_ERROR") and err.count("\n") == 1
+
+
+class TestCrossChecks:
+    """When a verdict's two routes disagree, cli.run exits 2."""
+
+    def test_current_routes_disagree(self, capsys, paths, monkeypatch):
+        solve = cech.find_primitive
+        monkeypatch.setattr(cech, "find_primitive", lambda *args: (
+            dataclasses.replace(solve(*args), primitive=None)))
+        err = report(capsys, ["current", paths["s3"], paths["exact2_s3"]],
+                     expect=2)
+        assert "VERDICT_INCONSISTENT" in err
+
+    def test_sharpness_routes_disagree(self, capsys, paths, monkeypatch):
+        def flipped(bundle):
+            res = flatten(bundle)
+            return dataclasses.replace(res, flat=not res.flat)
+
+        flatten = obstruction.flatten
+        monkeypatch.setattr(obstruction, "flatten", flipped)
+        for cocycle in ("monopole", "trivial_t3"):
+            name = "s1xs2" if cocycle == "monopole" else "t3"
+            err = report(capsys, ["sharpness", paths[name], paths[cocycle]],
+                         expect=2)
+            assert "VERDICT_INCONSISTENT" in err
 
 
 class TestTolerance:

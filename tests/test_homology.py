@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import json
 import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -309,15 +310,21 @@ class TestFindPrimitive:
         assert np.abs(recon - w.values).max() < 1e-9
 
     def test_generator_is_not_exact(self, s1xs2):
-        g = cs.basis(s1xs2, 1).representative_cochains()[0]
-        res = cs.find_primitive(s1xs2, g)
-        assert not res.exact
-        assert np.abs(np.abs(res.class_coordinates) - 1.0).max() < 1e-9
+        # in degree 0 the generator is a nonzero constant, with no d_{-1}
+        for k in (1, 0):
+            g = cs.basis(s1xs2, k).representative_cochains()[0]
+            assert k or len(set(g.values)) == 1 and g.values[0] != 0
+            res = cs.find_primitive(s1xs2, g)
+            assert not res.exact
+            assert np.abs(np.abs(res.class_coordinates) - 1.0).max() < 1e-9
 
     def test_zero_cochain(self, s3):
-        res = cs.find_primitive(s3, Cochain.zeros(s3, 2))
-        assert res.exact
-        assert np.abs(res.primitive.values).max() < 1e-12
+        # the zero 0-cochain is d of the one (-1)-cochain, which is empty
+        for k in (2, 0):
+            res = cs.find_primitive(s3, Cochain.zeros(s3, k))
+            assert res.exact and res.primitive.degree == k - 1
+            assert len(res.primitive.values) == s3.n_simplices(k - 1)
+            assert np.abs(res.primitive.values).max(initial=0) < 1e-12
 
     def test_nan_not_closed(self, s3):
         w = Cochain(1, "real", np.full(s3.n_simplices(1), np.nan))
@@ -361,3 +368,25 @@ class TestFindPrimitive:
                         vals = vals + cf * g
                 res = cs.find_primitive(K, Cochain(2, "real", vals))
                 assert res.exact == make_exact
+
+
+def test_every_solve_is_the_one_least_squares(t3, monkeypatch):
+    """flatten, find_primitive, current_globality and sharpness_check
+    call np.linalg.lstsq only from homology._least_squares."""
+    callers = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1)
+        callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    bundle = cs.make_bundle(t3, Cochain(2, "int",
+                                        cs.integral_generators(t3, 2)[0][0]))
+    w = cs.apply_d(t3, random_real_cochain(np.random.default_rng(9), t3, 1))
+    cs.flatten(bundle)
+    cs.find_primitive(t3, w)
+    cs.current_globality(cs.star_cover(t3), w)
+    cs.sharpness_check(t3, bundle)
+    assert callers == [("csobstruct.homology", "_least_squares")] * 4
