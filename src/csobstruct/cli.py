@@ -79,7 +79,10 @@ def _report(handler, args):
         report["input"] = digests[0]
     else:
         report["inputs"] = digests
-    return json.dumps(report, sort_keys=True, indent=2)
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise Error("PARSE_ERROR", "a report value exceeds the float range")
 
 
 def _generate(args):

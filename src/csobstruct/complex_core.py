@@ -24,11 +24,6 @@ INT = "int"
 REAL = "real"
 
 
-def faces(simplex):
-    """All codimension-1 faces of an increasing tuple, in drop-index order."""
-    return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
-
-
 def _closure(simplices, dim):
     """Per degree 0..dim, the set of all faces of the given simplices."""
     by_degree = [set() for _ in range(dim + 1)]
@@ -248,9 +243,12 @@ def fundamental_cycle(complex_):
     """Signs eps per top simplex with boundary(sum eps*sigma) = 0 over Z.
 
     Signs are found by propagating orientation across shared
-    codimension-1 faces; a propagation contradiction means the complex is
-    non-orientable, a nonzero boundary after propagation means it is not
-    closed.  Memoized per complex (complexes are immutable).
+    codimension-1 faces, read off the triplets of d_{n-1}: top simplex t
+    owns triplets t*(n+1) .. t*(n+1)+n, its faces and their signs.  Each
+    component of the dual graph is seeded +1 at its first top simplex; a
+    propagation contradiction means the complex is non-orientable, a
+    nonzero boundary after propagation means it is not closed.  Memoized
+    per complex (complexes are immutable).
     """
     return complex_._memo("fundamental_cycle",
                           lambda: _fundamental_cycle_compute(complex_))
@@ -276,13 +274,12 @@ def _fundamental_cycle_compute(complex_):
         queue = [seed]
         while queue:
             t = queue.pop()
-            for f in (complex_._index[n - 1][fc]
-                      for fc in faces(complex_.simplices[n][t])):
+            for j in range(t * (n + 1), (t + 1) * (n + 1)):
+                f, st = cols[j], signs[j]
                 if len(cofaces[f]) != 2:
                     continue  # boundary / non-manifold face, checked below
                 (t1, s1), (t2, s2) = cofaces[f]
                 other, so = (t2, s2) if t1 == t else (t1, s1)
-                st = s1 if t1 == t else s2
                 want = -eps[t] * st * so  # eps_t*s_t + eps_o*s_o = 0
                 if eps[other] == 0:
                     eps[other] = want

@@ -68,8 +68,8 @@ def pair_with_fundamental(complex_, omega):
 
 def _fundamental_signs(complex_):
     """The fundamental cycle's signs as floats (memoized)."""
-    return complex_._memo("fundamental_signs", lambda: np.asarray(
-        [float(e) for e in fundamental_cycle(complex_).values]))
+    return complex_._memo("fundamental_signs", lambda: fundamental_cycle(
+        complex_).values.astype(float))
 
 
 @dataclass(frozen=True)

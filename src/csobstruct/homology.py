@@ -22,7 +22,7 @@ import numpy as np
 
 from .complex_core import Cochain, INT, REAL, _check_length, apply_d
 from .errors import Error
-from .snf import SNFResult, smith_normal_form
+from .snf import smith_normal_form
 
 EXACT_REL_TOL = 1e-9
 EXACT_ABS_TOL = 1e-12
@@ -87,23 +87,25 @@ def _cohomology(complex_, k):
 
     With _snf(k), d_k = U S V of rank r: v_inv[:, r:] is a basis of the
     lattice ker d_k and V[r:, :] gives a kernel vector's coordinates in it
-    (at k = dim the kernel is all of C^k, in the standard basis).  In those
-    coordinates the image is d_{k-1}, reduced by _snf(k-1), at k = dim;
-    V[r:, :] @ d_{k-1}, reduced here, below it; and zero at k = 0.  With
-    image = U_2 S_2 V_2 of rank r_2, the generators are the kernel vectors
-    of columns of U_2, and P_k = (U_2^-1)[r_2:, :], times V[r:, :] below
-    the top.  Only these slices are replayed from the SNFs' records.
+    (at k = dim the kernel is all of C^k, in the standard basis).  Below
+    the top, H^0 is ker d_0 itself (d_{-1} = 0): the kernel columns are
+    its free generators, with no torsion, and P_0 = V[r:, :].  Otherwise,
+    in those coordinates the image is d_{k-1}, reduced by _snf(k-1), at
+    k = dim (an n_0 x 0 matrix at k = 0); V[r:, :] @ d_{k-1}, reduced
+    here, below it.  With image = U_2 S_2 V_2 of rank r_2, the generators
+    are the kernel vectors of columns of U_2, and P_k = (U_2^-1)[r_2:, :],
+    times V[r:, :] below the top.  Only these slices are replayed from the
+    SNFs' records.
     """
     def build():
-        n, r, kernel, coords = complex_.n_simplices(k), 0, None, None
+        kernel = coords = None
         if k < complex_.dim:
-            res = _snf(complex_, k)
-            r = res.rank
-            kernel = res.v_inv_columns(range(r, n))
-            coords = res.v_rows(range(r, n))
-        if k == 0:             # d_{-1} = 0: an SNF with no operations
-            image = SNFResult((n - r, 0), [], [], [], list(range(n - r)), [])
-        elif coords is None:
+            res, n = _snf(complex_, k), complex_.n_simplices(k)
+            kernel = res.v_inv_columns(range(res.rank, n))
+            coords = res.v_rows(range(res.rank, n))
+            if k == 0:
+                return list(kernel.T), [], coords
+        if coords is None:
             image = _snf(complex_, k - 1)
         else:
             image = smith_normal_form(_sparse_product(
@@ -171,7 +173,7 @@ class CohomologyBasis:
         if len(values) != self._class_map.shape[1]:
             raise Error("BASE_MISMATCH",
                         "cochain length does not match the basis")
-        return self._class_map @ np.asarray([float(x) for x in values])
+        return self._class_map @ np.asarray(values, dtype=float)
 
     def representative_cochains(self):
         return [Cochain(self.degree, REAL, w.copy())
@@ -182,7 +184,7 @@ def cohomology_basis_real(complex_, k):
     """Basis of H^k over the reals, with integral representatives."""
     _check_degree(complex_, k)
     free, _, cmap = _cohomology(complex_, k)
-    reps = [np.asarray([float(x) for x in w]) for w in free]
+    reps = [np.asarray(w, dtype=float) for w in free]
     return CohomologyBasis(k, reps, cmap.astype(float))
 
 
@@ -203,8 +205,7 @@ def check_tol(tol, default=None):
 
 
 def _closedness_tol(values):
-    norm = float(np.max(np.abs(np.asarray(
-        [float(v) for v in values])))) if len(values) else 0.0
+    norm = float(np.max(np.abs(np.asarray(values, dtype=float)), initial=0))
     return max(EXACT_ABS_TOL, EXACT_REL_TOL * norm)
 
 
@@ -231,11 +232,15 @@ def _least_squares(complex_, k, values):
 
     The library's one dense float coboundary and its one solve: d_{k-1}
     is memoized per complex, and at k = 0 it is the n_0 x 0 zero matrix.
+    The solve runs on values / 2^e, with 2^e the binary exponent of
+    max |values|: scaling by a power of two is exact, so x keeps its bits
+    and the solver's intermediates stay far from the float limit.
     """
     _check_degree(complex_, k)
     d = complex_._memo(("d_dense", k - 1),
                        lambda: complex_._d_array(k - 1, float))
-    x, *_ = np.linalg.lstsq(d, values, rcond=None)
+    e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+    x = np.ldexp(np.linalg.lstsq(d, np.ldexp(values, -e), rcond=None)[0], e)
     if not np.all(np.isfinite(x)):
         raise Error("SOLVER_FAILURE", "least squares gave a non-finite x")
     return x, d @ x - values

@@ -28,34 +28,33 @@ class VerticalSymmetry:
     """Closed real 1-cochain standing in for a vertical symmetry field."""
 
     gamma: Cochain
-    provenance: str = ""
 
 
-def symmetry_from_oneform(complex_, gamma, provenance=""):
+def symmetry_from_oneform(complex_, gamma):
     """Wrap a closed 1-cochain as a symmetry; non-closed input is rejected."""
     if gamma.degree != 1:
         raise Error("DEGREE_OUT_OF_RANGE", "symmetry needs a 1-cochain")
     require_closed(complex_, gamma)
-    g = Cochain(1, REAL, gamma.as_float())
-    return VerticalSymmetry(g, provenance)
+    return VerticalSymmetry(Cochain(1, REAL, gamma.as_float()))
+
+
+def _gamma_cup_f(complex_, gamma, bundle, a):
+    """gamma u F(A), the cochain both obstruction readings start from."""
+    if bundle.base is not complex_:
+        raise Error("BASE_MISMATCH", "bundle lives on a different complex")
+    return cup(complex_, gamma, curvature(bundle, a))
 
 
 def obstruction_pairing(complex_, symmetry, bundle, a):
     """2 * <gamma u F(A), [X]>; class-level, independent of A and of
     the representative of gamma."""
-    if bundle.base is not complex_:
-        raise Error("BASE_MISMATCH", "bundle lives on a different complex")
-    f = curvature(bundle, a)
-    return 2.0 * pair_with_fundamental(complex_,
-                                       cup(complex_, symmetry.gamma, f))
+    return 2.0 * pair_with_fundamental(
+        complex_, _gamma_cup_f(complex_, symmetry.gamma, bundle, a))
 
 
 def obstruction_class(complex_, symmetry, bundle, a):
     """Coordinates of 2*(gamma u F) in the H^3 basis."""
-    if bundle.base is not complex_:
-        raise Error("BASE_MISMATCH", "bundle lives on a different complex")
-    f = curvature(bundle, a)
-    w = cup(complex_, symmetry.gamma, f)
+    w = _gamma_cup_f(complex_, symmetry.gamma, bundle, a)
     return 2.0 * basis(complex_, complex_.dim).coordinates(w.values)
 
 
@@ -63,12 +62,8 @@ def h1_pairings(complex_, bundle, a):
     """The H^1 basis representatives and the obstruction pairing of each
     with the bundle at the connection a."""
     gammas = basis(complex_, 1).representative_cochains()
-    pairings = np.array([
-        obstruction_pairing(complex_,
-                            VerticalSymmetry(g, f"H1 basis element {i}"),
-                            bundle, a)
-        for i, g in enumerate(gammas)], dtype=float)
-    return gammas, pairings
+    return gammas, np.array([obstruction_pairing(
+        complex_, VerticalSymmetry(g), bundle, a) for g in gammas], float)
 
 
 @dataclass(frozen=True)

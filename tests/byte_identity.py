@@ -147,19 +147,24 @@ def _path(root, name, arg):
     return arg
 
 
+def case(root, name, cmd):
+    """One output line: the sha256 of [stdout, stderr], the exit code and
+    the command, run through cli.run on the inputs in root."""
+    argv = [_path(root, name, a) for a in cmd]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    digest = hashlib.sha256(
+        json.dumps([out.getvalue(), err.getvalue()]).encode())
+    return f"{digest.hexdigest()} {code} {' '.join(cmd)}"
+
+
 def run(root):
     os.environ["COLUMNS"] = "80"
     cases = [(name, cmd) for name in FIXTURES for cmd in commands(name)]
     cases += [("s3", cmd) for cmd in parser_cases()]
     for name, cmd in cases:
-        argv = [_path(root, name, a) for a in cmd]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = cli.run(argv)
-        digest = hashlib.sha256(
-            json.dumps([out.getvalue(), err.getvalue()]).encode())
-        print(digest.hexdigest(), code, " ".join(cmd))
+        print(case(root, name, cmd))
 
 
 def main():

@@ -224,6 +224,37 @@ def test_cocycle_at_float_limit_is_parse_error(capsys, paths, request, cmd,
     assert err.startswith("error: PARSE_ERROR") and err.count("\n") == 1
 
 
+def _no_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, cmd, expect", [
+    pytest.param(10 ** 300, cmd, 0, id=f"1e300-{cmd}")
+    for cmd in ("flatten", "sharpness", "obstruction")] + [
+    pytest.param(2 * 10 ** 307, cmd, expect, id=f"2e307-{cmd}")
+    for cmd, expect in (("flatten", 0), ("sharpness", 1),
+                        ("obstruction", 1))])
+def test_huge_cocycle_is_solved(capsys, paths, t3, scale, cmd, expect):
+    """scale times a free generator of t3: 2*pi*c is a float, so the
+    least-squares connection is found and the bundle is not flat.  At
+    2*10^307 the pairings, about 4*pi*scale, exceed the float range, and
+    the reports that hold them are PARSE_ERROR, never Infinity."""
+    g = cs.integral_generators(t3, 2)[0][0]
+    p = paths["root"] / f"huge_{cmd}_{len(str(scale))}.json"
+    p.write_text(json.dumps({"degree": 2, "ring": "int",
+                             "values": [scale * int(v) for v in g]}))
+    code = run([cmd, paths["t3"], str(p)])
+    captured = capsys.readouterr()
+    assert code == expect, captured.err
+    if expect:
+        assert captured.err == \
+            "error: PARSE_ERROR: a report value exceeds the float range\n"
+        return
+    doc = json.loads(captured.out, parse_constant=_no_constant)
+    assert doc.get("flat", doc.get("flat_exists")) is False
+
+
 class TestCrossChecks:
     """When a verdict's two routes disagree, cli.run exits 2."""
 

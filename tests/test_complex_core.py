@@ -192,6 +192,22 @@ class TestFundamentalCycle:
             fundamental_cycle(disk)
         assert e.value.code == "NOT_CLOSED"
 
+    def test_face_of_three_cofaces_not_closed(self):
+        # edge (0, 1) has three cofaces: propagation skips it
+        fan = SimplicialComplex([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+        with pytest.raises(Error) as e:
+            fundamental_cycle(fan)
+        assert e.value.code == "NOT_CLOSED"
+
+    def test_two_components_seeded_separately(self):
+        # two tetrahedron boundaries sharing only vertex 0: each component
+        # of the dual graph starts at +1 on its first triangle
+        wedge = SimplicialComplex([
+            [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
+            [0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]])
+        z = fundamental_cycle(wedge)
+        assert [int(v) for v in z.values] == [1, -1, 1, 1, -1, 1, -1, -1]
+
 
 class TestStars:
     """The reference closed stars that the Cech descent oracle uses."""
