@@ -34,12 +34,14 @@ def _closure(simplices, dim):
 
 
 def _is_int(v):
-    """The integer rule for parsed input: ints and integral floats, but
-    not bools, non-integral numbers or non-numbers.  Plain ints, the
-    common case, skip the abstract-class checks."""
+    """The integer rule for parsed input and matrix entries: ints,
+    integral floats and rationals of denominator 1, but not bools, other
+    numbers or non-numbers.  A rational is decided exactly, so a huge one
+    is never turned into a float.  Plain ints, the common case, skip the
+    abstract-class checks."""
     return type(v) is int or isinstance(v, numbers.Real) and \
-        not isinstance(v, bool) and (isinstance(v, numbers.Integral) or
-                                     float(v).is_integer())
+        not isinstance(v, bool) and (v.denominator == 1 if isinstance(
+            v, numbers.Rational) else float(v).is_integer())
 
 
 class SimplicialComplex:

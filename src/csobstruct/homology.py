@@ -16,13 +16,14 @@ which keeps pairing matrices and Chern classes exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complex_core import Cochain, INT, REAL, _check_length, apply_d
 from .errors import Error
-from .snf import smith_normal_form
+from .snf import _add, _dense, _units, smith_normal_form
 
 EXACT_REL_TOL = 1e-9
 EXACT_ABS_TOL = 1e-12
@@ -41,7 +42,9 @@ class GroupDescriptor:
 
 
 def _check_degree(complex_, k):
-    if not 0 <= k <= complex_.dim:
+    """The integer rule for degrees: a non-bool Integral in 0..dim."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or \
+            not 0 <= k <= complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE", f"k={k}, dim={complex_.dim}")
 
 
@@ -71,8 +74,7 @@ def integral_generators(complex_, k):
     generators have the stated order.  All returned arrays are object-int.
     """
     _check_degree(complex_, k)
-    free, torsion, _ = _cohomology(complex_, k)
-    return free, torsion
+    return _cohomology(complex_, k)[:2]
 
 
 def _snf(complex_, k):
@@ -88,64 +90,48 @@ def _cohomology(complex_, k):
     With _snf(k), d_k = U S V of rank r: v_inv[:, r:] is a basis of the
     lattice ker d_k and V[r:, :] gives a kernel vector's coordinates in it
     (at k = dim the kernel is all of C^k, in the standard basis).  Below
-    the top, H^0 is ker d_0 itself (d_{-1} = 0): the kernel columns are
-    its free generators, with no torsion, and P_0 = V[r:, :].  Otherwise,
-    in those coordinates the image is d_{k-1}, reduced by _snf(k-1), at
-    k = dim (an n_0 x 0 matrix at k = 0); V[r:, :] @ d_{k-1}, reduced
-    here, below it.  With image = U_2 S_2 V_2 of rank r_2, the generators
-    are the kernel vectors of columns of U_2, and P_k = (U_2^-1)[r_2:, :],
-    times V[r:, :] below the top.  Only these slices are replayed from the
-    SNFs' records.
+    the top, H^0 is ker d_0 itself (d_{-1} = 0): its free generators are
+    the kernel columns, with no torsion, and P_0 = V[r:, :].  Otherwise
+    the image is d_{k-1}, reduced by _snf(k-1), at k = dim (an n_0 x 0
+    matrix at k = 0); below it, the lattice V[r:, :] @ d_{k-1}, summed
+    from the rows of V and the triplets of d_{k-1} and reduced here.
+    With image = U_2 S_2 V_2 of rank r_2, the generators are the columns
+    of U_2 at the torsion positions (d_i > 1) and the free ones (i >= r_2),
+    and P_k is the rows r_2: of U_2^-1.  Below the top each is carried
+    into C^k by one more walk, started from those lines placed at
+    positions r + j: v_inv[:, r:] @ U_2[:, i] and U_2^-1[i, :] @ V[r:, :].
+    Every product is a walk of a record (SNFResult.lines); the lattice
+    and the outputs are the only dense arrays.
     """
     def build():
-        kernel = coords = None
-        if k < complex_.dim:
-            res, n = _snf(complex_, k), complex_.n_simplices(k)
-            kernel = res.v_inv_columns(range(res.rank, n))
-            coords = res.v_rows(range(res.rank, n))
-            if k == 0:
-                return list(kernel.T), [], coords
-        if coords is None:
+        if k == complex_.dim:
             image = _snf(complex_, k - 1)
         else:
-            image = smith_normal_form(_sparse_product(
-                coords, complex_._d_array(k - 1, np.int64)))
-        P = image.u_inv_tail()
-        return (*_quotient_generators(image, kernel),
-                P if coords is None else _sparse_product(P, coords))
+            res, n = _snf(complex_, k), complex_.n_simplices(k)
+            r = res.rank
+            V = res.lines("V", _units(range(r, n)))
+            if k == 0:                     # H^0 = ker d_0, with no image
+                G = _dense(res.lines("v_inv", _units(range(r, n))), n - r)
+                return list(G), [], _dense(V, n - r)
+            # column j of the lattice: s times line c of V, summed over the
+            # triplets (c, j, s) of d_{k-1}; dense for the spies and tracers
+            lattice = [{} for _ in range(complex_.n_simplices(k - 1))]
+            for c, j, s in zip(*(a.tolist()
+                                 for a in complex_._d_triplets(k - 1))):
+                _add(lattice[j], V[c], s)
+            image = smith_normal_form(_dense(lattice, n - r))
+        m, r2, diag = image.shape[0], image.rank, image.diag
+        torsion = [i for i in range(r2) if diag[i] > 1]
+        wanted = torsion + list(range(r2, m))
+        gens = image.lines("U", _units(wanted))
+        cmap = image.lines("U_inv", _units(range(r2, m)))
+        if k < complex_.dim:               # kernel coordinates -> C^k
+            gens = res.lines("v_inv", dict(enumerate(gens, r)))
+            cmap = res.lines("V", dict(enumerate(cmap, r)))
+        G = _dense(gens, len(wanted))
+        return list(G[len(torsion):]), [
+            (diag[i], g) for i, g in zip(torsion, G)], _dense(cmap, m - r2)
     return complex_._memo(("cohomology", k), build)
-
-
-def _sparse_product(A, B):
-    """A @ B in Python ints, summed over the nonzeros of A only and
-    reading only the rows of B they meet: A (V[r:, :], a U^-1 tail or
-    transposed generator columns of U) has a few nonzeros per line.
-    Being exact, it needs no overflow guard.
-    """
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=object)
-    i, j = np.nonzero(A)
-    used, at = np.unique(j, return_inverse=True)
-    rows = B[used].astype(object)
-    for a, c, t in zip(i, j, at):
-        out[a] += A[a, c] * rows[t]
-    return out
-
-
-def _quotient_generators(res, lattice=None):
-    """(free, torsion) generators of lattice / image.
-
-    res is the SNF of the image written in lattice coordinates; lattice
-    holds the basis vectors as columns (None: the standard basis).  The
-    generators are the lattice vectors of columns i of U for the free
-    positions i >= rank and the torsion positions (d_i > 1), and only
-    those columns are replayed from res.
-    """
-    diag, r = res.diag, res.rank
-    torsion = [i for i in range(r) if diag[i] > 1]
-    U = res.u_columns(torsion + list(range(r, res.shape[0])))
-    vectors = list(U.T if lattice is None else _sparse_product(U.T, lattice.T))
-    return vectors[len(torsion):], [
-        (diag[i], u) for i, u in zip(torsion, vectors)]
 
 
 # -- real cohomology basis --------------------------------------------
@@ -189,7 +175,9 @@ def cohomology_basis_real(complex_, k):
 
 
 def basis(complex_, k):
-    """Memoized cohomology_basis_real (complexes are immutable)."""
+    """Memoized cohomology_basis_real (complexes are immutable); the
+    degree is checked first, as 2.0 and True hash like 2 and 1."""
+    _check_degree(complex_, k)
     return complex_._memo(("basis", k),
                           lambda: cohomology_basis_real(complex_, k))
 

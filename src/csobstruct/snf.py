@@ -22,11 +22,14 @@ The transforms are never formed while reducing.  The body keeps one
 record of its row operations on S and one of its column operations, in
 order and by row and column label, and nothing else: the record is the
 only transform state.  Every transform line (a column of U, a row of
-U^-1, a row of V, a column of v_inv) is made on demand by one replay
-routine, which walks a record backwards from unit lines at the wanted
-labels, on sparse dicts of Python ints (_replay).  A caller asks only
-for the lines it reads, so no m x m or n x n transform is made unless
-it asks for a whole one (the U, V and v_inv properties).
+U^-1, a row of V, a column of v_inv) is read by one walk of a record,
+backwards from start lines, on sparse dicts of Python ints (_replay).
+A start line at position p is unit line p, or any integer combination
+of such lines: the walk is linear, so a combined start gives the same
+combination of transform lines, in one walk.  A caller reads products
+with a transform (generators, class maps) by starting from its own
+lines, and gets sparse lines back; no m x m or n x n transform is made
+unless it asks for a whole one (the U, V and v_inv properties).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .complex_core import _is_int
 from .errors import Error
 
 
@@ -45,11 +49,10 @@ class SNFResult:
 
     Keeps the shape, diag (the invariant factors d_1 | d_2 | ..., then
     zeros, min(m, n) in all), the row and column operation records and
-    the row and column labels in position order (see _smith).  The
-    methods replay the records into the slices a caller reads, as object
-    arrays of Python ints: columns of U, the rows rank: of U^-1, rows of
-    V and columns of v_inv, the exact inverse of V.  U, S, V and v_inv
-    are whole arrays, made on each request.
+    the row and column labels in position order (see _smith).  lines()
+    walks a record into the transform lines a caller reads, as sparse
+    dicts of Python ints; U, S, V and v_inv (the exact inverse of V) are
+    whole object arrays, made on each request.
     """
 
     shape: tuple
@@ -69,7 +72,7 @@ class SNFResult:
 
     @property
     def U(self):
-        return self.u_columns(range(self.shape[0]))
+        return self._whole("U", self.shape[0]).T
 
     @property
     def S(self):
@@ -80,48 +83,62 @@ class SNFResult:
 
     @property
     def V(self):
-        return self.v_rows(range(self.shape[1]))
+        return self._whole("V", self.shape[1])
 
     @property
     def v_inv(self):
-        return self.v_inv_columns(range(self.shape[1]))
+        return self._whole("v_inv", self.shape[1]).T
 
-    def u_columns(self, positions):
-        """U[:, positions]."""
-        return _replay(self._row_ops, self._rlab, positions, False)
+    def _whole(self, which, n):
+        return _dense(self.lines(which, _units(range(n))), n)
 
-    def u_inv_tail(self):
-        """Rows rank: of U^-1 (tail @ U = [0 | I])."""
-        tail = range(self.rank, self.shape[0])
-        return _replay(self._row_ops, self._rlab, tail, True).T
+    def lines(self, which, start):
+        """Combined lines of one transform: columns of U, rows of U_inv
+        (U^-1), rows of V or columns of v_inv, as which says.
 
-    def v_rows(self, positions):
-        """V[positions, :]."""
-        return _replay(self._col_ops, self._clab, positions, False).T
+        start maps a position p to a sparse line {t: x}: line t is the
+        sum of x times the transform's line p over the positions.  The
+        result holds, per row or column label k, the dict {t: entry k of
+        line t}; _dense makes it an array.
+        """
+        pull = {"U": False, "U_inv": True, "V": False, "v_inv": True}[which]
+        if which in ("U", "U_inv"):
+            return _replay(self._row_ops, self._rlab, start, pull)
+        return _replay(self._col_ops, self._clab, start, pull)
 
-    def v_inv_columns(self, positions):
-        """v_inv[:, positions]."""
-        return _replay(self._col_ops, self._clab, positions, True)
+
+def _units(positions):
+    """Start lines for the unit lines at the given positions, in order."""
+    return {p: {t: 1} for t, p in enumerate(positions)}
 
 
-def _replay(ops, lab, positions, pull):
-    """Transform lines at the given positions, one per column.
+def _dense(lines, count):
+    """The count lines of per-label dicts as the rows of an object array."""
+    X = np.zeros((count, len(lines)), dtype=object)
+    for k, line in enumerate(lines):
+        for t, x in line.items():
+            X[t, k] = x
+    return X
+
+
+def _replay(ops, lab, start, pull):
+    """Walk a record from start lines; per label k, {t: entry k of line t}.
 
     ops records (i, js, qs): U[:, i] += q * U[:, j] for each (j, q), or
     a negation of U[:, i] when js is None (the row record); or column
     k -= q * column c of S for each (k, q), which is V[c, :] += q * V[k, :]
     (the column record, with i = c and js the k).  A transform is the
     product of these operations, so its line at label l is the unit line
-    e_l walked through the record, last operation first.  A column of U
-    or a row of V is pushed (y[j] += q * y[i]); a row of U^-1 or a
-    column of v_inv is pulled through the inverse operations
-    (y[i] -= q * y[j]); a negation negates y[i].  y[k] holds entry k of
-    every wanted line, so both directions add one sparse dict into
-    another.  Position p holds label lab[p].
+    e_l walked through the record, last operation first, and every step
+    is linear in the lines.  A column of U or a row of V is pushed
+    (y[j] += q * y[i]); a row of U^-1 or a column of v_inv is pulled
+    through the inverse operations (y[i] -= q * y[j]); a negation negates
+    y[i].  y[k] holds entry k of every line, so both directions add one
+    sparse dict into another.  Position p holds label lab[p].
     """
     y = [{} for _ in lab]
-    for t, p in enumerate(positions):
-        y[lab[p]][t] = 1
+    for p, line in start.items():
+        y[lab[p]] = dict(line)
     for i, js, qs in reversed(ops):
         if js is None:
             y[i] = {t: -x for t, x in y[i].items()}
@@ -131,11 +148,7 @@ def _replay(ops, lab, positions, pull):
         elif y[i]:
             for j, q in zip(js, qs):
                 _add(y[j], y[i], q)
-    X = np.zeros((len(lab), len(positions)), dtype=object)
-    for k, line in enumerate(y):
-        for t, x in line.items():
-            X[k, t] = x
-    return X
+    return y
 
 
 def _add(line, other, q):          # line += q * other
@@ -165,7 +178,8 @@ def _int_matrix(M):
 
 def smith_normal_form(M):
     """Exact SNF of an integer matrix (nested lists or a 2-D array);
-    integral floats count as integers, anything else is BAD_PARAMETER."""
+    integral floats and rationals of denominator 1 count as integers
+    (complex_core._is_int), anything else is BAD_PARAMETER."""
     return _smith(_int_matrix(M))
 
 
@@ -182,7 +196,7 @@ def _smith(A):
     ij = np.nonzero(A)
     for i, j, x in zip(ij[0].tolist(), ij[1].tolist(), A[ij].tolist()):
         if type(x) is not int:
-            if not float(x).is_integer():
+            if not _is_int(x):
                 raise Error("BAD_PARAMETER",
                             f"matrix entry {x!r} is not an integer")
             x = int(x)

@@ -2,6 +2,7 @@
 
     python3 tests/bench_pairs.py fresh P C --pairs 9 --out B.json
     python3 tests/bench_pairs.py perfbench P C --pairs 10 --out B.json
+    python3 tests/bench_pairs.py scaling P C --pairs 5 --out B.json
 
 P (the parent) and C (the change) are the roots of two checkouts; give
 them paths of equal length.  In each pair both sides run once, the parent
@@ -18,6 +19,14 @@ temporary directory.  Each run records its wall time and its CPU time
 
 perfbench: python3 perfbench/run.py --seed <pair> --trace 0 in the
 side's root; each run records the end-to-end metrics of its last line.
+
+scaling: integer cohomology of every degree (homology_groups with the
+int ring, then integral_generators) of T^3(5), T^3(6), T^3(7) and
+S^1 x S^2 x S^2 (ordered_product of s1xs2 and sphere2), one fresh
+process per case that imports the package from the side's src/.  The
+child times the cohomology alone, after building the complex, and
+reports its own peak RSS (ru_maxrss of RUSAGE_SELF): RUSAGE_CHILDREN
+keeps one maximum over all children, so it cannot give per-run peaks.
 
 Results merge into --out under the mode's name: every run, and per
 metric the medians, the parent's quartiles, and in how many pairs the
@@ -51,6 +60,21 @@ CASES = {
     "homology t3 --degree 1 --ring int":
         ["-c", RUN, "homology", "{t3}", "--degree", "1", "--ring", "int"],
 }
+SCALING = ["t3(5)", "t3(6)", "t3(7)", "s1xs2xs2"]
+SCALING_RUN = """
+import json, resource, sys, time
+import csobstruct as cs
+name = sys.argv[1]
+K = cs.ordered_product(cs.generate("s1xs2"), cs.generate("sphere2")) \\
+    if name == "s1xs2xs2" else cs.generate(name)
+t0 = time.perf_counter()
+for k in range(K.dim + 1):
+    cs.homology_groups(K, k, "int")
+    cs.integral_generators(K, k)
+wall = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_rss_mb": peak}))
+"""
 
 
 def _write_inputs(root):
@@ -81,6 +105,18 @@ def _fresh_run(side, inputs):
         cpu = (cpu1.ru_utime - cpu0.ru_utime) + (cpu1.ru_stime - cpu0.ru_stime)
         out[f"{case}.wall_ms"] = 1e3 * wall
         out[f"{case}.cpu_ms"] = 1e3 * cpu
+    return out
+
+
+def _scaling_run(side):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(side) / "src"))
+    out = {}
+    for case in SCALING:
+        proc = subprocess.run([sys.executable, "-c", SCALING_RUN, case],
+                              env=env, check=True, capture_output=True,
+                              text=True)
+        last = json.loads(proc.stdout.strip().splitlines()[-1])
+        out.update({f"{case}.{k}": v for k, v in last.items()})
     return out
 
 
@@ -119,7 +155,7 @@ def _summary(pairs, better):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("fresh", "perfbench"))
+    parser.add_argument("mode", choices=("fresh", "perfbench", "scaling"))
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--pairs", type=int, default=9)
@@ -138,8 +174,12 @@ def main():
             pair = {}
             for side in order:
                 root = getattr(args, side)
-                pair[side] = _fresh_run(root, inputs) \
-                    if args.mode == "fresh" else _perfbench_run(root, i)
+                if args.mode == "fresh":
+                    pair[side] = _fresh_run(root, inputs)
+                elif args.mode == "scaling":
+                    pair[side] = _scaling_run(root)
+                else:
+                    pair[side] = _perfbench_run(root, i)
             pairs.append(pair)
             print(f"pair {i}/{args.pairs} done", file=sys.stderr)
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestLoad:
         K = load_complex(doc(tops, orientation=[1.0, -1, 1, -1]))
         assert dump_complex(K) == dump_complex(load_complex(doc(
             TETRA_BOUNDARY, orientation=[1, -1, 1, -1])))
+        # a rational is decided by its denominator, never as a float: an
+        # integral vertex beyond the float range is only a dangling one,
+        # and one just above 1 is not the vertex 1
+        for v, code in ((Fraction(10**400), "DANGLING_VERTEX"),
+                        (Fraction(10**400 + 1, 10**400), "PARSE_ERROR")):
+            with pytest.raises(Error) as e:
+                SimplicialComplex([[0, v]])
+            assert e.value.code == code
 
     def test_integral_float_degree_is_an_integer(self):
         c = load_cochain(json.dumps(

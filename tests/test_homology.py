@@ -39,10 +39,24 @@ def test_betti_against_exact_rank_oracle(s3, s1xs2):
                 betti_oracle(K, k)
 
 
-def test_degree_out_of_range(s3):
+@pytest.mark.parametrize("k", [7, -1, 1.5, 2.5, 0.5, 1.0, 2.0, "1", True])
+@pytest.mark.parametrize("fn", ["homology_groups", "integral_generators",
+                                "basis", "poincare_pairing_matrix"])
+def test_degree_out_of_range(t3, fn, k):
+    """Degrees follow the integer rule: a non-integral, float, string or
+    bool degree is out of range, even after the integral degree it
+    equals has been built (2.0 and True hash like 2 and 1)."""
+    getattr(cs, fn)(t3, 1)
+    getattr(cs, fn)(t3, 2)
     with pytest.raises(Error) as e:
-        cs.homology_groups(s3, 7)
+        getattr(cs, fn)(t3, k)
     assert e.value.code == "DEGREE_OUT_OF_RANGE"
+
+
+def test_numpy_integer_degree(t3):
+    assert cs.homology_groups(t3, np.int64(1), "int") == \
+        cs.homology_groups(t3, 1, "int")
+    assert cs.basis(t3, np.int64(2)) is cs.basis(t3, 2)
 
 
 def test_unknown_ring_is_bad_ring(s3):
@@ -125,17 +139,19 @@ class TestIntegralGenerators:
 
     def test_reduction_makes_no_whole_transform(self):
         """Integer cohomology of every degree of T^3(4) peaks under
-        15 MiB of traced allocations: the reductions replay only the
-        transform slices they read, never a whole n x n V or v_inv."""
-        K = cs.generate("t3(4)")
-        tracemalloc.start()
-        try:
-            for k in range(K.dim + 1):
-                cs.integral_generators(K, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 15 * 2**20
+        15 MiB of traced allocations, and of T^3(5) under 24 MiB: the
+        reductions walk only the transform lines they read, never a whole
+        n x n V or v_inv."""
+        for name, mib in (("t3(4)", 15), ("t3(5)", 24)):
+            K = cs.generate(name)
+            tracemalloc.start()
+            try:
+                for k in range(K.dim + 1):
+                    cs.integral_generators(K, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < mib * 2**20, name
 
 
 class TestSinglePath:

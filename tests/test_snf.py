@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,35 @@ def spy_on_body(monkeypatch):
 
     monkeypatch.setattr(snf, "_smith", spy)
     return runs
+
+
+def fixture_reductions(monkeypatch):
+    """The inputs of the 20 reductions behind the integral cohomology of
+    s3, s1xs2, t3 and rp3 in every degree."""
+    runs = spy_on_body(monkeypatch)
+    for name in ("s3", "s1xs2", "t3", "rp3"):
+        K = cs.generate(name)
+        for k in range(K.dim + 1):
+            cs.integral_generators(K, k)
+    monkeypatch.undo()
+    assert len(runs) == 12 + 8
+    return [A for A, _ in runs]
+
+
+def densify(lines, count):
+    """SNFResult.lines' per-label dicts as the rows of an object array,
+    one row per line."""
+    X = np.zeros((count, len(lines)), dtype=object)
+    for k, line in enumerate(lines):
+        for t, x in line.items():
+            X[t, k] = x
+    return X
+
+
+def unit_lines(res, which, positions):
+    """The transform's lines at the given positions, as rows."""
+    start = {p: {t: 1} for t, p in enumerate(positions)}
+    return densify(res.lines(which, start), len(positions))
 
 
 def check_decomposition(M):
@@ -131,6 +162,8 @@ def test_kernel_coordinates_roundtrip():
     # entries under 2**31 whose reduction grows past int64:
     # diag [1, 1, (2**31 - 1)(2**31 - 3)(2**31 - 5)]
     [[2**31 - 1, 0, 0], [0, 2**31 - 3, 0], [0, 0, 2**31 - 5]],
+    # an integral rational beyond the float range, decided exactly
+    [[Fraction(10**400)]],
 ])
 def test_large_entries_are_exact(monkeypatch, M):
     runs = spy_on_body(monkeypatch)
@@ -145,7 +178,7 @@ def test_large_entries_are_exact(monkeypatch, M):
     [[1.5]], np.array([[0.5, 2.0]]), [[float("nan")]], [[float("inf")]],
     [[1, 2], [3]], [1, 2, 3], [[[1, 2]]], 5,
     [[True, 1]], np.array([[True, False]]), [[1, "2"]], [[None, 1]],
-    [[1, [2]]], [[1j]]])
+    [[1, [2]]], [[1j]], [[Fraction(10**400 + 1, 10**400)]]])
 def test_malformed_input_is_bad_parameter(M):
     with pytest.raises(cs.Error) as err:
         smith_normal_form(M)
@@ -153,7 +186,8 @@ def test_malformed_input_is_bad_parameter(M):
 
 
 @pytest.mark.parametrize("M", [[[2.0, 4.0]], np.array([[2.0, 4.0]]),
-                               np.array([[2, 4]], dtype=np.uint8)])
+                               np.array([[2, 4]], dtype=np.uint8),
+                               [[Fraction(2), Fraction(8, 2)]]])
 def test_integral_floats_are_integers(M):
     res = check_decomposition(M)
     assert res.diag == [2]
@@ -195,14 +229,7 @@ def test_sparse_replay_matches_dense_reference(monkeypatch):
 def test_u_inv_tail(monkeypatch):
     """Rows rank: of U^-1, replayed from the operation record, times U
     give [0 | I]: they are exactly the last rows of the inverse."""
-    runs = spy_on_body(monkeypatch)
-    for name in ("s3", "s1xs2", "t3", "rp3"):
-        K = cs.generate(name)
-        for k in range(K.dim + 1):
-            cs.integral_generators(K, k)
-    monkeypatch.undo()
-    assert len(runs) == 12 + 8
-    cases = [A for A, _ in runs]
+    cases = fixture_reductions(monkeypatch)
     rng = np.random.default_rng(10)
     for _ in range(300):
         m, n = rng.integers(1, 9, size=2)
@@ -215,7 +242,7 @@ def test_u_inv_tail(monkeypatch):
     for M in cases:
         res = smith_normal_form(M)
         m, r = res.S.shape[0], res.rank
-        tail = res.u_inv_tail()
+        tail = unit_lines(res, "U_inv", range(r, m))
         assert tail.shape == (m - r, m) and tail.dtype == object
         assert all(type(x) is int for x in tail.ravel())
         expect = np.zeros((m - r, m), dtype=object)
@@ -224,17 +251,10 @@ def test_u_inv_tail(monkeypatch):
 
 
 def test_slice_accessors_match_dense_reference(monkeypatch):
-    """Each replayed slice equals the same slice of the dense reference,
-    entry for entry and in Python ints, on partial, unordered position
-    lists that hold every torsion position."""
-    runs = spy_on_body(monkeypatch)
-    for name in ("s3", "s1xs2", "t3", "rp3"):
-        K = cs.generate(name)
-        for k in range(K.dim + 1):
-            cs.integral_generators(K, k)
-    monkeypatch.undo()
-    assert len(runs) == 12 + 8
-    cases = [A for A, _ in runs]
+    """Each slice read through SNFResult.lines equals the same slice of
+    the dense reference, entry for entry and in Python ints, on partial,
+    unordered position lists that hold every torsion position."""
+    cases = fixture_reductions(monkeypatch)
     rng = np.random.default_rng(12)
     for _ in range(100):
         m, n = rng.integers(1, 9, size=2)
@@ -265,10 +285,45 @@ def test_slice_accessors_match_dense_reference(monkeypatch):
         torsion = [i for i, d in enumerate(res.diag) if d > 1]
         torsion_seen += len(torsion)
         rows, cols = positions(m, torsion), positions(n, torsion)
-        check(res.u_columns(rows), U[:, rows])
-        check(res.v_rows(cols), V[cols, :])
-        check(res.v_inv_columns(cols), v_inv[:, cols])
+        check(unit_lines(res, "U", rows).T, U[:, rows])
+        check(unit_lines(res, "V", cols), V[cols, :])
+        check(unit_lines(res, "v_inv", cols).T, v_inv[:, cols])
     assert torsion_seen > 0
+
+
+def test_lines_walk_combined_starts(monkeypatch):
+    """A start spanning several positions walks to the same combination
+    of the dense reference's lines, entry for entry and in Python ints;
+    combined rows of U^-1 times U give back their coefficients."""
+    cases = fixture_reductions(monkeypatch)
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        m, n = rng.integers(1, 9, size=2)
+        cases.append(rng.integers(-6, 7, size=(m, n))
+                     * (rng.random((m, n)) < 0.5))
+    cases += [np.zeros((3, 0), dtype=np.int64),
+              np.zeros((0, 3), dtype=np.int64)]
+    for M in cases:
+        U, _, V, v_inv = (X.astype(object) for X in dense_smith(M))
+        res = smith_normal_form(M)
+        for which, size, expect in (
+                ("U", U.shape[0], lambda X: X @ U.T),
+                ("U_inv", U.shape[0], None),
+                ("V", V.shape[0], lambda X: X @ V),
+                ("v_inv", V.shape[0], lambda X: X @ v_inv.T)):
+            count = int(rng.integers(1, 5))
+            X = (rng.integers(-3, 4, size=(count, size))
+                 * (rng.random((count, size)) < 0.4)).astype(object)
+            start = {p: {t: int(X[t, p]) for t in range(count) if X[t, p]}
+                     for p in range(size)}
+            got = res.lines(which, start)
+            assert len(got) == size
+            assert all(type(x) is int for line in got for x in line.values())
+            Y = densify(got, count)
+            if expect is None:
+                assert (Y @ U == X).all(), which
+            else:
+                assert (Y == expect(X)).all(), which
 
 
 @pytest.mark.parametrize("M", [
