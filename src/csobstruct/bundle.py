@@ -130,9 +130,9 @@ def cs_gradient(complex_, a):
     front, back = _cup_faces(complex_, 1, 2)
     eps = _fundamental_signs(complex_)
     y = np.bincount(back, eps * a.values[front], complex_.n_simplices(2))
-    rows, cols, signs = complex_._d_triplets(1)
+    d1 = complex_._d_triplets(1)
     grad = np.bincount(front, eps * da[back], complex_.n_simplices(1)) + \
-        np.bincount(cols, signs * y[rows], complex_.n_simplices(1))
+        np.bincount(d1.cols, d1.vals * y[d1.rows], complex_.n_simplices(1))
     return Cochain(1, REAL, grad)
 
 

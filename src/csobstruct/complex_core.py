@@ -3,10 +3,10 @@
 Simplices are strictly increasing vertex tuples; within each degree the
 canonical index is lexicographic order on those tuples.  The coboundary
 uses the alternating-face convention: the face obtained by dropping vertex
-i carries sign (-1)^i.  d_k is held only as its (row, col, sign) triplets,
-sorted by row and then column; every reader (the real products, the dense
-copies, the exact loops) works from them.  All integer arithmetic is exact
-(Python ints).
+i carries sign (-1)^i.  d_k is held only as a SparseMatrix, its (row, col,
+sign) triplets sorted by row and then column; every reader (the real
+products, the Smith reductions, the one dense float copy, the exact loops)
+works from them.  All integer arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations
@@ -31,6 +31,23 @@ def _closure(simplices, dim):
         for r in range(1, len(s) + 1):
             by_degree[r - 1].update(itertools.combinations(s, r))
     return by_degree
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A shape[0] x shape[1] matrix held as its nonzero entries vals[i] at
+    (rows[i], cols[i]), in row-major order: the one form of d_k and of
+    every Smith reduction input.  np.asarray(M, dtype) makes it dense."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        A = np.zeros(self.shape, self.vals.dtype if dtype is None else dtype)
+        A[self.rows, self.cols] = self.vals
+        return A
 
 
 def _is_int(v):
@@ -140,25 +157,21 @@ class SimplicialComplex:
     # -- coboundary ----------------------------------------------------
 
     def _d_triplets(self, k):
-        """(rows, cols, signs) of d_k: C^k -> C^{k+1}, as numpy arrays
-        sorted by row and then column, the order a CSR product sums in."""
+        """d_k: C^k -> C^{k+1} as a SparseMatrix (intp rows and cols, int64
+        signs), sorted by row and then column, the order a CSR product
+        sums in; d_{-1} is the n_0 x 0 matrix."""
         return self._memo(("triplets", k), lambda: self._build_triplets(k))
 
     def _build_triplets(self, k):
         # dropping a later vertex gives a lex-smaller face: drop the last first
-        drops, n = range(k + 1, -1, -1), self.n_simplices(k + 1)
+        drops = range(k + 1, -1, -1)
+        taus = self.simplices[k + 1] if k >= 0 else []
         cols = [self._index[k][tau[:i] + tau[i + 1:]]
-                for tau in self.simplices[k + 1] for i in drops]
-        return (np.repeat(np.arange(n), k + 2), np.array(cols, dtype=np.intp),
-                np.tile([(-1) ** i for i in drops], n))
-
-    def _d_array(self, k, dtype):
-        """A new dense d_k of the given dtype; d_{-1} has no columns."""
-        d = np.zeros((self.n_simplices(k + 1), self.n_simplices(k)), dtype)
-        if d.size:
-            rows, cols, signs = self._d_triplets(k)
-            d[rows, cols] = signs
-        return d
+                for tau in taus for i in drops]
+        return SparseMatrix((self.n_simplices(k + 1), self.n_simplices(k)),
+                            np.repeat(np.arange(len(taus)), k + 2),
+                            np.array(cols, dtype=np.intp),
+                            np.tile([(-1) ** i for i in drops], len(taus)))
 
 
 # -- cochains and chains ----------------------------------------------
@@ -226,14 +239,14 @@ def apply_d(complex_, cochain):
     if not 0 <= k < complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
     _check_length(complex_, cochain)
-    rows, cols, signs = complex_._d_triplets(k)
+    d = complex_._d_triplets(k)
     if cochain.ring == REAL:
-        out = np.bincount(rows, signs * cochain.values[cols],
+        out = np.bincount(d.rows, d.vals * cochain.values[d.cols],
                           complex_.n_simplices(k + 1))
         return Cochain(k + 1, REAL, out)
     out = [0] * complex_.n_simplices(k + 1)
     vals = cochain.values
-    for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+    for r, c, s in zip(d.rows.tolist(), d.cols.tolist(), d.vals.tolist()):
         out[r] += s * vals[c]
     return Cochain(k + 1, INT, np.array(out, dtype=object))
 
@@ -264,7 +277,8 @@ def _fundamental_cycle_compute(complex_):
 
     # cofaces of each (n-1)-simplex, with incidence signs
     cofaces = [[] for _ in range(complex_.n_simplices(n - 1))]
-    rows, cols, signs = (a.tolist() for a in complex_._d_triplets(n - 1))
+    d = complex_._d_triplets(n - 1)
+    rows, cols, signs = d.rows.tolist(), d.cols.tolist(), d.vals.tolist()
     for r, c, s in zip(rows, cols, signs):
         cofaces[c].append((r, s))
 

@@ -87,10 +87,12 @@ def poincare_pairing_matrix(complex_, k):
 
     The entries are integers (integral representatives), so the matrix is
     nondegenerate exactly when it is square and its Smith normal form has
-    full rank; 0x0 is nondegenerate.
+    full rank; 0x0 is nondegenerate.  Every degree needs the fundamental
+    cycle, so a complex without one gets NOT_CLOSED or NON_ORIENTABLE.
     """
     n = complex_.dim
-    bk = basis(complex_, k)
+    bk = basis(complex_, k)             # checks the degree
+    fundamental_cycle(complex_)
     bnk = basis(complex_, n - k)
     mat = np.zeros((bk.size, bnk.size))
     for i, wi in enumerate(bk.representative_cochains()):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .complex_core import Cochain, INT, REAL, _check_length, apply_d
 from .errors import Error
-from .snf import _add, _dense, _units, smith_normal_form
+from .snf import _add, _dense, _sparse, _units, smith_normal_form
 
 EXACT_REL_TOL = 1e-9
 EXACT_ABS_TOL = 1e-12
@@ -78,9 +78,10 @@ def integral_generators(complex_, k):
 
 
 def _snf(complex_, k):
-    """smith_normal_form(d_k), made once per complex and degree."""
+    """smith_normal_form(d_k), made once per complex and degree, on the
+    complex's own SparseMatrix of d_k."""
     return complex_._memo(("snf", k), lambda: smith_normal_form(
-        complex_._d_array(k, np.int64)))
+        complex_._d_triplets(k)))
 
 
 def _cohomology(complex_, k):
@@ -100,8 +101,9 @@ def _cohomology(complex_, k):
     and P_k is the rows r_2: of U_2^-1.  Below the top each is carried
     into C^k by one more walk, started from those lines placed at
     positions r + j: v_inv[:, r:] @ U_2[:, i] and U_2^-1[i, :] @ V[r:, :].
-    Every product is a walk of a record (SNFResult.lines); the lattice
-    and the outputs are the only dense arrays.
+    Every product is a walk of a record (SNFResult.lines).  Both
+    reductions read a SparseMatrix: d_k is the complex's own, and the
+    lattice is built straight into that form; only the outputs are dense.
     """
     def build():
         if k == complex_.dim:
@@ -114,12 +116,13 @@ def _cohomology(complex_, k):
                 G = _dense(res.lines("v_inv", _units(range(r, n))), n - r)
                 return list(G), [], _dense(V, n - r)
             # column j of the lattice: s times line c of V, summed over the
-            # triplets (c, j, s) of d_{k-1}; dense for the spies and tracers
-            lattice = [{} for _ in range(complex_.n_simplices(k - 1))]
-            for c, j, s in zip(*(a.tolist()
-                                 for a in complex_._d_triplets(k - 1))):
+            # triplets (c, j, s) of d_{k-1}
+            d = complex_._d_triplets(k - 1)
+            lattice = [{} for _ in range(d.shape[1])]
+            for c, j, s in zip(d.rows.tolist(), d.cols.tolist(),
+                               d.vals.tolist()):
                 _add(lattice[j], V[c], s)
-            image = smith_normal_form(_dense(lattice, n - r))
+            image = smith_normal_form(_sparse(lattice, n - r))
         m, r2, diag = image.shape[0], image.rank, image.diag
         torsion = [i for i in range(r2) if diag[i] > 1]
         wanted = torsion + list(range(r2, m))
@@ -225,8 +228,8 @@ def _least_squares(complex_, k, values):
     and the solver's intermediates stay far from the float limit.
     """
     _check_degree(complex_, k)
-    d = complex_._memo(("d_dense", k - 1),
-                       lambda: complex_._d_array(k - 1, float))
+    d = complex_._memo(("d_dense", k - 1), lambda: np.asarray(
+        complex_._d_triplets(k - 1), float))
     e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
     x = np.ldexp(np.linalg.lstsq(d, np.ldexp(values, -e), rcond=None)[0], e)
     if not np.all(np.isfinite(x)):

@@ -13,10 +13,14 @@ of the block has the first offending row added to its row, and the step
 starts again.  Small pivots keep entry growth tame on incidence-style
 matrices.
 
-S is held sparse, in one dict of nonzero Python ints per row plus a
-column-to-rows index; a swap only updates permutation maps, and a step
-touches only the nonzeros of its pivot row and column.  The arithmetic
-is exact, so there is no overflow to guard against.
+The input is a complex_core.SparseMatrix, the library's one form of a
+reduction input (d_k and the image lattices arrive in it); a caller's
+nested lists or 2-D array are checked and made sparse once, so the body
+reads only nonzeros.  S is held sparse, in one dict of nonzero Python
+ints per row plus a column-to-rows index; a swap only updates
+permutation maps, and a step touches only the nonzeros of its pivot row
+and column.  The arithmetic is exact, so there is no overflow to guard
+against.
 
 The transforms are never formed while reducing.  The body keeps one
 record of its row operations on S and one of its column operations, in
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import _is_int
+from .complex_core import SparseMatrix, _is_int
 from .errors import Error
 
 
@@ -76,10 +80,9 @@ class SNFResult:
 
     @property
     def S(self):
-        S = np.zeros(self.shape, dtype=object)
-        for t, d in enumerate(self.diag):
-            S[t, t] = d
-        return S
+        t = np.arange(self.rank)
+        return np.asarray(SparseMatrix(self.shape, t, t, np.array(
+            self.invariant_factors, dtype=object)))
 
     @property
     def V(self):
@@ -114,11 +117,15 @@ def _units(positions):
 
 def _dense(lines, count):
     """The count lines of per-label dicts as the rows of an object array."""
-    X = np.zeros((count, len(lines)), dtype=object)
-    for k, line in enumerate(lines):
-        for t, x in line.items():
-            X[t, k] = x
-    return X
+    return np.asarray(_sparse(lines, count))
+
+
+def _sparse(lines, count):
+    """The count lines of per-label dicts as the rows of a SparseMatrix."""
+    E = np.array(sorted((t, k, x) for k, line in enumerate(lines)
+                        for t, x in line.items()), dtype=object).reshape(-1, 3)
+    return SparseMatrix((count, len(lines)), E[:, 0].astype(np.intp),
+                        E[:, 1].astype(np.intp), E[:, 2])
 
 
 def _replay(ops, lab, start, pull):
@@ -144,7 +151,8 @@ def _replay(ops, lab, start, pull):
             y[i] = {t: -x for t, x in y[i].items()}
         elif pull:
             for j, q in zip(js, qs):
-                _add(y[i], y[j], -q)
+                if y[j]:
+                    _add(y[i], y[j], -q)
         elif y[i]:
             for j, q in zip(js, qs):
                 _add(y[j], y[i], q)
@@ -161,8 +169,9 @@ def _add(line, other, q):          # line += q * other
 
 
 def _int_matrix(M):
-    """M as a 2-D array whose entries are numbers (nested lists become
-    an object array); the body checks the nonzeros are integers."""
+    """The nonzeros of M as a SparseMatrix, once M is checked to be a 2-D
+    array of numbers (nested lists become an object array); the body
+    checks the nonzeros are integers."""
     A = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
     if A.shape == (0,):            # [] has no row to give the width
         A = A.reshape(0, 0)
@@ -173,19 +182,21 @@ def _int_matrix(M):
             t is bool or not issubclass(t, numbers.Real)
             for t in set(map(type, A.ravel().tolist()))):
         raise Error("BAD_PARAMETER", "matrix entries must be numbers")
-    return A
+    ij = np.nonzero(A)
+    return SparseMatrix(A.shape, *ij, A[ij])
 
 
 def smith_normal_form(M):
-    """Exact SNF of an integer matrix (nested lists or a 2-D array);
-    integral floats and rationals of denominator 1 count as integers
-    (complex_core._is_int), anything else is BAD_PARAMETER."""
-    return _smith(_int_matrix(M))
+    """Exact SNF of an integer matrix: a SparseMatrix, the library's own
+    form, or nested lists or a 2-D array, which are checked and made
+    sparse once.  Integral floats and rationals of denominator 1 count as
+    integers (complex_core._is_int), anything else is BAD_PARAMETER."""
+    return _smith(M if isinstance(M, SparseMatrix) else _int_matrix(M))
 
 
-def _smith(A):
-    """The reduction body: SNF of the 2-D array A of numbers."""
-    m, n = A.shape
+def _smith(M):
+    """The reduction body: SNF of the SparseMatrix M of numbers."""
+    m, n = M.shape
     # S lives in sparse rows of Python ints, keyed by row and column
     # labels (the original indices): rlab/clab list the labels by current
     # position and rpos/cpos invert them, so a swap only updates these
@@ -193,8 +204,7 @@ def _smith(A):
     # column c.  The records hold the operations by label.
     rows = [{} for _ in range(m)]
     cols = [set() for _ in range(n)]
-    ij = np.nonzero(A)
-    for i, j, x in zip(ij[0].tolist(), ij[1].tolist(), A[ij].tolist()):
+    for i, j, x in zip(M.rows.tolist(), M.cols.tolist(), M.vals.tolist()):
         if type(x) is not int:
             if not _is_int(x):
                 raise Error("BAD_PARAMETER",

@@ -27,6 +27,9 @@ process per case that imports the package from the side's src/.  The
 child times the cohomology alone, after building the complex, and
 reports its own peak RSS (ru_maxrss of RUSAGE_SELF): RUSAGE_CHILDREN
 keeps one maximum over all children, so it cannot give per-run peaks.
+It also prints a sha256 of the groups, generators and class maps P_k of
+every degree, and main stops with an error when the two sides' digests
+differ on any case: the change must give bit-identical outputs.
 
 Results merge into --out under the mode's name: every run, and per
 metric the medians, the parent's quartiles, and in how many pairs the
@@ -62,8 +65,9 @@ CASES = {
 }
 SCALING = ["t3(5)", "t3(6)", "t3(7)", "s1xs2xs2"]
 SCALING_RUN = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 import csobstruct as cs
+from csobstruct.homology import _cohomology
 name = sys.argv[1]
 K = cs.ordered_product(cs.generate("s1xs2"), cs.generate("sphere2")) \\
     if name == "s1xs2xs2" else cs.generate(name)
@@ -73,7 +77,15 @@ for k in range(K.dim + 1):
     cs.integral_generators(K, k)
 wall = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"wall_s": wall, "peak_rss_mb": peak}))
+doc = []
+for k in range(K.dim + 1):
+    free, torsion, P = _cohomology(K, k)
+    doc.append([str(cs.homology_groups(K, k, "int")),
+                [[int(x) for x in g] for g in free],
+                [[int(o), [int(x) for x in g]] for o, g in torsion],
+                [[int(x) for x in row] for row in P]])
+digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+print(json.dumps({"wall_s": wall, "peak_rss_mb": peak, "digest": digest}))
 """
 
 
@@ -133,7 +145,7 @@ def _perfbench_run(side, seed):
 def _summary(pairs, better):
     out = {}
     for metric in pairs[0]["parent"]:
-        if metric in ("failed", "correct"):
+        if metric in ("failed", "correct") or metric.endswith(".digest"):
             continue
         p = [r["parent"][metric] for r in pairs]
         c = [r["change"][metric] for r in pairs]
@@ -180,6 +192,11 @@ def main():
                     pair[side] = _scaling_run(root)
                 else:
                     pair[side] = _perfbench_run(root, i)
+            moved = [case for case in SCALING if args.mode == "scaling" and
+                     pair["parent"][f"{case}.digest"] !=
+                     pair["change"][f"{case}.digest"]]
+            if moved:
+                sys.exit(f"pair {i}: outputs differ on {', '.join(moved)}")
             pairs.append(pair)
             print(f"pair {i}/{args.pairs} done", file=sys.stderr)
 

@@ -29,9 +29,9 @@ from csobstruct.complex_core import Cochain
 
 def coboundary_csr(complex_, k):
     """The package's d_k: C^k -> C^{k+1} as an int64 CSR matrix."""
-    rows, cols, signs = complex_._d_triplets(k)
-    return sp.csr_matrix((signs.astype(np.int64), (rows, cols)), shape=(
-        complex_.n_simplices(k + 1), complex_.n_simplices(k)))
+    d = complex_._d_triplets(k)
+    return sp.csr_matrix((d.vals.astype(np.int64), (d.rows, d.cols)),
+                         shape=d.shape)
 
 
 def local_coboundary(sub, k):

@@ -195,6 +195,24 @@ def test_pairing_matrix_of_suspended_torus(k, shape, nondegenerate):
     assert p.nondegenerate is nondegenerate
 
 
+RP2 = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4), (1, 2, 3),
+       (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("top, k, code", [
+    *(([(0, 1, 2)], k, "NOT_CLOSED") for k in range(3)),
+    *(([(0, 1, 2, 3)], k, "NOT_CLOSED") for k in range(4)),
+    *((RP2, k, "NON_ORIENTABLE") for k in range(3))])
+def test_pairing_needs_fundamental_cycle(top, k, code):
+    """The disk, the solid tetrahedron and the 6-vertex RP^2 have no
+    fundamental cycle, so no degree has a pairing matrix, even where one
+    of the two bases is empty."""
+    K = cs.SimplicialComplex(top)
+    with pytest.raises(cs.Error) as err:
+        cs.poincare_pairing_matrix(K, k)
+    assert err.value.code == code
+
+
 def test_t3_pairing_rank_three(t3):
     p = cs.poincare_pairing_matrix(t3, 1)
     assert np.linalg.matrix_rank(p.matrix) == 3

@@ -22,8 +22,8 @@ def assert_same(a, b):
 
 
 def python_int_run(M):
-    """The reduction body on Python-int input."""
-    return snf._smith(as_int(M))
+    """The reduction body on Python-int input, in the sparse form."""
+    return snf._smith(snf._int_matrix(as_int(M)))
 
 
 def spy_on_body(monkeypatch):
@@ -33,7 +33,7 @@ def spy_on_body(monkeypatch):
 
     def spy(A):
         res = body(A)
-        runs.append((A.copy(), res))
+        runs.append((np.asarray(A), res))
         return res
 
     monkeypatch.setattr(snf, "_smith", spy)
