@@ -102,8 +102,9 @@ def current_globality(cover, omega):
     """Globality verdict for a closed (n-1)-current, both routes compared.
 
     Route one: the class coordinates P_k omega of the descent above.
-    Route two: a least-squares global primitive (find_primitive), which
-    exists exactly when the class vanishes.  Both test against the same
+    Route two: a least-squares global primitive (find_primitive, solved
+    with the complex's memoized eigenfactor of d_{k-1}), which exists
+    exactly when the class vanishes.  Both test against the same
     limit, so route two can differ only by its residual: the verdicts
     must agree, and disagreement is an internal failure.
     """

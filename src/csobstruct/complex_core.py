@@ -5,8 +5,9 @@ canonical index is lexicographic order on those tuples.  The coboundary
 uses the alternating-face convention: the face obtained by dropping vertex
 i carries sign (-1)^i.  d_k is held only as a SparseMatrix, its (row, col,
 sign) triplets sorted by row and then column; every reader (the real
-products, the Smith reductions, the one dense float copy, the exact loops)
-works from them.  All integer arithmetic is exact (Python ints).
+products, the Smith reductions, the Gram matrix of the least-squares
+factor, the exact loops) works from them.  All integer arithmetic is
+exact (Python ints).
 """
 
 from __future__ import annotations

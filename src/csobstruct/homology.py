@@ -218,23 +218,52 @@ def require_closed(complex_, cochain, code="NOT_CLOSED"):
                     f"coboundary norm {np.max(np.abs(dv)):.3e} exceeds {limit:.3e}")
 
 
-def _least_squares(complex_, k, values):
-    """(x, d x - values) for a least-squares x of d_{k-1} x = values.
+def _factor(complex_, k):
+    """(V, w): the eigenpairs of G = d_{k-1}^T d_{k-1} with w > 0, made
+    once per complex and degree.
 
-    The library's one dense float coboundary and its one solve: d_{k-1}
-    is memoized per complex, and at k = 0 it is the n_0 x 0 zero matrix.
-    The solve runs on values / 2^e, with 2^e the binary exponent of
-    max |values|: scaling by a power of two is exact, so x keeps its bits
-    and the solver's intermediates stay far from the float limit.
+    G is summed from the triplets with one bincount: row t of d_{k-1}
+    holds the k+1 faces of k-simplex t, and each of the (k+1)^2 pairs of
+    its entries adds s_a s_b at (c_a, c_b), so G is exact and symmetric
+    and no dense d is made.  An eigenvalue counts as zero at or below
+    n eps max(w); the kept count is the rank of d_{k-1}.  G and the full
+    eigenvector matrix are dropped once V is kept.
+    """
+    def build():
+        d = complex_._d_triplets(k - 1)
+        n = d.shape[1]
+        cols, signs = d.cols.reshape(-1, k + 1), d.vals.reshape(-1, k + 1)
+        w, V = np.linalg.eigh(np.bincount(
+            (cols[:, :, None] * n + cols[:, None, :]).ravel(),
+            (signs[:, :, None] * signs[:, None, :]).ravel(),
+            n * n).reshape(n, n))       # G, freed when eigh returns
+        keep = w > n * np.finfo(float).eps * w.max(initial=0.0)
+        return V[:, keep], w[keep]
+    return complex_._memo(("factor", k - 1), build)
+
+
+def _least_squares(complex_, k, values):
+    """(x, d x - values) for the minimum-norm least-squares x of
+    d_{k-1} x = values.
+
+    The library's one solve.  The minimum-norm x lies in im d^T, on
+    which G = d^T d is invertible: x = V diag(1/w) V^T d^T values, with
+    the eigenpairs (V, w) of _factor.  d^T values and d x are bincount
+    products over the triplets (at k = 0, d_{-1} is the n_0 x 0 matrix
+    and x is empty).  The solve runs on values / 2^e, with 2^e the binary
+    exponent of max |values|: scaling by a power of two is exact, so x
+    keeps its bits and the intermediates stay far from the float limit.
     """
     _check_degree(complex_, k)
-    d = complex_._memo(("d_dense", k - 1), lambda: np.asarray(
-        complex_._d_triplets(k - 1), float))
+    V, w = _factor(complex_, k)
+    d = complex_._d_triplets(k - 1)
     e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
-    x = np.ldexp(np.linalg.lstsq(d, np.ldexp(values, -e), rcond=None)[0], e)
+    dty = np.bincount(d.cols, d.vals * np.ldexp(values, -e)[d.rows],
+                      d.shape[1])
+    x = np.ldexp(V @ ((V.T @ dty) / w), e)
     if not np.all(np.isfinite(x)):
         raise Error("SOLVER_FAILURE", "least squares gave a non-finite x")
-    return x, d @ x - values
+    return x, np.bincount(d.rows, d.vals * x[d.cols], d.shape[0]) - values
 
 
 @dataclass(frozen=True)
@@ -250,7 +279,8 @@ class PrimitiveResult:
 def find_primitive(complex_, cochain, tol=None):
     """Solve d(beta) = cochain when the class vanishes; else report coords.
 
-    Least squares on the coboundary; any minimizer is acceptable since
+    beta is the minimum-norm least-squares solution (_least_squares, from
+    the memoized eigenfactor of d_{k-1}); any minimizer would do, since
     primitives are only defined up to the kernel of d.
     """
     limit = check_tol(tol, _closedness_tol(cochain.values))

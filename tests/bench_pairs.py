@@ -3,6 +3,7 @@
     python3 tests/bench_pairs.py fresh P C --pairs 9 --out B.json
     python3 tests/bench_pairs.py perfbench P C --pairs 10 --out B.json
     python3 tests/bench_pairs.py scaling P C --pairs 5 --out B.json
+    python3 tests/bench_pairs.py solve P C --pairs 5 --out B.json
 
 P (the parent) and C (the change) are the roots of two checkouts; give
 them paths of equal length.  In each pair both sides run once, the parent
@@ -31,6 +32,15 @@ It also prints a sha256 of the groups, generators and class maps P_k of
 every degree, and main stops with an error when the two sides' digests
 differ on any case: the change must give bit-identical outputs.
 
+solve: homology._least_squares at degree 2 (the flatten and primitive
+solve) on t3, rp3, T^3(5) and T^3(6), one fresh process per case that
+imports the package from the side's src/, with the BLAS pool pinned to
+one thread as in perfbench.  The right-hand side is b = d_1 y for a
+fixed-seed normal y, so it is exact.  The child times the first solve
+on the new complex (which builds whatever the solve memoizes) and a
+repeated one, and prints its peak RSS (ru_maxrss), how much the first
+solve raised it, and max |d x - b| of the repeated solve.
+
 Results merge into --out under the mode's name: every run, and per
 metric the medians, the parent's quartiles, and in how many pairs the
 change was better.  The file name does not match test_*.py, so pytest
@@ -55,6 +65,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import csobstruct as cs                                     # noqa: E402
 
+ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS")}
 RUN = "import sys, csobstruct.cli as c; sys.exit(c.run(sys.argv[1:]))"
 CASES = {
     "import": ["-c", "import csobstruct.cli"],
@@ -64,6 +76,26 @@ CASES = {
         ["-c", RUN, "homology", "{t3}", "--degree", "1", "--ring", "int"],
 }
 SCALING = ["t3(5)", "t3(6)", "t3(7)", "s1xs2xs2"]
+SOLVE = ["t3", "rp3", "t3(5)", "t3(6)"]
+SOLVE_RUN = """
+import json, resource, sys, time
+import numpy as np
+import csobstruct as cs
+from csobstruct.homology import _least_squares
+K = cs.generate(sys.argv[1])
+y = np.random.default_rng(0).standard_normal(K.n_simplices(1))
+b = cs.apply_d(K, cs.Cochain(1, "real", y)).values
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+t0 = time.perf_counter()
+_least_squares(K, 2, b)
+t1 = time.perf_counter()
+_, residual = _least_squares(K, 2, b)
+t2 = time.perf_counter()
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"first_ms": 1e3 * (t1 - t0), "repeat_ms": 1e3 * (t2 - t1),
+                  "peak_rss_mb": peak, "first_rss_increment_mb": peak - before,
+                  "max_residual": float(np.max(np.abs(residual)))}))
+"""
 SCALING_RUN = """
 import hashlib, json, resource, sys, time
 import csobstruct as cs
@@ -120,11 +152,11 @@ def _fresh_run(side, inputs):
     return out
 
 
-def _scaling_run(side):
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(side) / "src"))
+def _child_run(side, script, cases, **env):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(side) / "src"), **env)
     out = {}
-    for case in SCALING:
-        proc = subprocess.run([sys.executable, "-c", SCALING_RUN, case],
+    for case in cases:
+        proc = subprocess.run([sys.executable, "-c", script, case],
                               env=env, check=True, capture_output=True,
                               text=True)
         last = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -167,7 +199,8 @@ def _summary(pairs, better):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("fresh", "perfbench", "scaling"))
+    parser.add_argument("mode",
+                        choices=("fresh", "perfbench", "scaling", "solve"))
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--pairs", type=int, default=9)
@@ -189,7 +222,10 @@ def main():
                 if args.mode == "fresh":
                     pair[side] = _fresh_run(root, inputs)
                 elif args.mode == "scaling":
-                    pair[side] = _scaling_run(root)
+                    pair[side] = _child_run(root, SCALING_RUN, SCALING)
+                elif args.mode == "solve":
+                    pair[side] = _child_run(root, SOLVE_RUN, SOLVE,
+                                            **ONE_THREAD)
                 else:
                     pair[side] = _perfbench_run(root, i)
             moved = [case for case in SCALING if args.mode == "scaling" and

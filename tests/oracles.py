@@ -11,6 +11,9 @@ reference its sparse replay must match bit for bit.  cech_descent is
 the level-by-level Cech descent on the closed-star cover, the reference
 for the closed form of cech.connecting_delta, and duality_coordinates
 reads class coordinates by Poincare duality, without the class map.
+min_norm_solution is the exact minimum-norm least-squares solution, by
+rational row reduction and a Fraction solve, the reference for the
+package's factored solve.
 coboundary_csr is the one exception: it puts the package's own d_k
 triplets into a scipy CSR matrix, for tests that read d_k as a matrix.
 """
@@ -133,6 +136,47 @@ def exact_det(rows):
             m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[col])]
         prev = p
     return sign * prev
+
+
+def min_norm_solution(d, b):
+    """The minimum-norm least-squares solution of d x = b, in Fractions.
+
+    The nonzero rows of an echelon form of d, made by rational row
+    reduction, are the columns of a basis B of the row space of d.  The
+    minimizer of least norm lies in that space, so it is B z with
+    (B^T d^T d B) z = B^T d^T b, solved here by Gaussian elimination.
+    Inputs are converted exactly (a float b is its binary value).
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(d).tolist()]
+    b = [Fraction(v) for v in np.asarray(b).tolist()]
+    basis = []
+    for row in rows:
+        for piv, e in basis:
+            if row[piv]:
+                f = row[piv] / e[piv]
+                row = [a - f * c for a, c in zip(row, e)]
+        piv = next((j for j, a in enumerate(row) if a), None)
+        if piv is not None:
+            basis.append((piv, row))
+    B = [e for _, e in basis]                       # rows of B^T
+    dB = [[sum(a * c for a, c in zip(row, e) if a) for e in B]
+          for row in rows]                          # d B, m x r
+    r = len(B)
+    M = [[sum(dB[t][i] * dB[t][j] for t in range(len(dB)))
+          for j in range(r)] + [sum(dB[t][i] * b[t] for t in range(len(dB)))]
+         for i in range(r)]
+    for c in range(r):                              # M is positive definite
+        for i in range(c + 1, r):
+            if M[i][c]:
+                f = M[i][c] / M[c][c]
+                M[i] = [a - f * e for a, e in zip(M[i], M[c])]
+    z = [Fraction(0)] * r
+    for i in reversed(range(r)):
+        z[i] = (M[i][r] - sum(M[i][j] * z[j]
+                              for j in range(i + 1, r))) / M[i][i]
+    n = len(rows[0]) if rows else 0
+    return [sum((B[i][j] * z[i] for i in range(r)), Fraction(0))
+            for j in range(n)]
 
 
 def invariant_factors(rows):

@@ -257,7 +257,7 @@ class TestConnectingDelta:
         inputs = [random_closed_cochain(rng, t3, k) for k in (1, 2, 3)]
         calls = []
         oracle_cover = oracles.star_cover(t3)
-        for fn in ("pinv", "lstsq"):
+        for fn in ("pinv", "lstsq", "eigh", "solve", "inv"):
             monkeypatch.setattr(np.linalg, fn,
                                 lambda *a, _fn=fn, **kw: calls.append(_fn))
         for w in inputs:

@@ -14,7 +14,9 @@ import csobstruct as cs
 from csobstruct import homology
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
+from csobstruct.manifolds import circle, ordered_product, simplex_boundary
 from conftest import random_real_cochain
+import oracles
 from oracles import betti as betti_oracle, coboundary_csr
 
 
@@ -386,23 +388,94 @@ class TestFindPrimitive:
                 assert res.exact == make_exact
 
 
-def test_every_solve_is_the_one_least_squares(t3, monkeypatch):
-    """flatten, find_primitive, current_globality and sharpness_check
-    call np.linalg.lstsq only from homology._least_squares."""
-    callers = []
-    lstsq = np.linalg.lstsq
+def test_every_solve_is_the_one_least_squares(monkeypatch):
+    """flatten, find_primitive, current_globality and sharpness_check on
+    t3 each solve through homology._least_squares.  The four share degree
+    2 of one complex, so np.linalg.eigh runs once for all of them, and
+    np.linalg.lstsq never runs."""
+    t3 = cs.generate("t3")                 # fresh: nothing factored yet
+    linalg = []
+    for fn in ("eigh", "lstsq"):
+        real = getattr(np.linalg, fn)
 
-    def spy(*args, **kwargs):
-        caller = sys._getframe(1)
-        callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
-        return lstsq(*args, **kwargs)
+        def spy(*args, _fn=fn, _real=real, **kwargs):
+            caller = sys._getframe(1)
+            linalg.append((_fn, caller.f_globals["__name__"],
+                           caller.f_code.co_qualname))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn, spy)
+    solve, callers = homology._least_squares.__code__, []
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is solve:
+            callers.append((frame.f_back.f_globals["__name__"],
+                            frame.f_back.f_code.co_name))
     bundle = cs.make_bundle(t3, Cochain(2, "int",
                                         cs.integral_generators(t3, 2)[0][0]))
     w = cs.apply_d(t3, random_real_cochain(np.random.default_rng(9), t3, 1))
-    cs.flatten(bundle)
-    cs.find_primitive(t3, w)
-    cs.current_globality(cs.star_cover(t3), w)
-    cs.sharpness_check(t3, bundle)
-    assert callers == [("csobstruct.homology", "_least_squares")] * 4
+    sys.setprofile(profile)
+    try:
+        cs.flatten(bundle)
+        cs.find_primitive(t3, w)
+        cs.current_globality(cs.star_cover(t3), w)
+        cs.sharpness_check(t3, bundle)
+    finally:
+        sys.setprofile(None)
+    flatten = ("csobstruct.bundle", "flatten")
+    primitive = ("csobstruct.homology", "find_primitive")
+    assert callers == [flatten, primitive, primitive, flatten]
+    assert linalg == [("eigh", "csobstruct.homology",
+                       "_factor.<locals>.build")]
+
+
+@pytest.mark.parametrize("name", ["s3", "s1xs2", "t3", "rp3", "sphere2",
+                                  "circle(7)", "t3(4)", "s1xs4"])
+def test_factor_keeps_the_exact_rank(name):
+    """The float factor of d_{k-1} keeps n_k - r_k - b_k eigenpairs in
+    every degree k: the rank of d_{k-1} from the integer reduction of d_k
+    (r_k = 0 at the top degree) and the Betti number."""
+    K = ordered_product(circle(3), simplex_boundary(5)) if name == "s1xs4" \
+        else cs.generate(name)
+    for k in range(K.dim + 1):
+        r = homology._snf(K, k).rank if k < K.dim else 0
+        b = cs.homology_groups(K, k).betti
+        V, w = homology._factor(K, k)
+        assert V.shape == (K.n_simplices(k - 1), len(w)), k
+        assert len(w) == K.n_simplices(k) - r - b, k
+
+
+class TestMinimumNorm:
+    """_least_squares returns the minimum-norm least-squares solution,
+    on exact right-hand sides (b = d y) and on non-exact ones."""
+
+    @staticmethod
+    def _cases(K, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(1, K.dim + 1):
+            d = np.asarray(K._d_triplets(k - 1))
+            yield k, d, d @ rng.integers(-3, 4, d.shape[1])
+            yield k, d, rng.integers(-3, 4, d.shape[0])
+
+    @pytest.mark.parametrize("name", ["s1xs2", "s3", "sphere2", "circle(7)"])
+    def test_within_64_ulp_of_the_exact_solution(self, name):
+        K = cs.generate(name)
+        for k, d, b in self._cases(K, 11):
+            exact = oracles.min_norm_solution(d, b)
+            exact_residual = [sum(int(a) * v for a, v in zip(row, exact)) - e
+                              for row, e in zip(d.tolist(), b.tolist())]
+            exact, exact_residual = (np.array([float(v) for v in vs])
+                                     for vs in (exact, exact_residual))
+            x, residual = homology._least_squares(K, k, b.astype(float))
+            assert np.abs(x - exact).max() <= \
+                64 * np.spacing(np.abs(exact).max()), k
+            assert np.abs(residual - exact_residual).max() <= \
+                64 * np.spacing(float(np.abs(b).max())), k
+
+    @pytest.mark.parametrize("name", ["t3", "rp3"])
+    def test_agrees_with_lstsq(self, name):
+        K = cs.generate(name)
+        for k, d, b in self._cases(K, 12):
+            ref = np.linalg.lstsq(d.astype(float), b.astype(float),
+                                  rcond=None)[0]
+            x, _ = homology._least_squares(K, k, b.astype(float))
+            assert np.abs(x - ref).max() <= 1e-12, k
