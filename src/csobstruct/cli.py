@@ -234,7 +234,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first run of a process."""
     parser = argparse.ArgumentParser(
         prog="csobstruct",
         description="Cohomological obstructions to flatness and global "

@@ -245,11 +245,12 @@ def apply_d(complex_, cochain):
         out = np.bincount(d.rows, d.vals * cochain.values[d.cols],
                           complex_.n_simplices(k + 1))
         return Cochain(k + 1, REAL, out)
-    out = [0] * complex_.n_simplices(k + 1)
-    vals = cochain.values
-    for r, c, s in zip(d.rows.tolist(), d.cols.tolist(), d.vals.tolist()):
-        out[r] += s * vals[c]
-    return Cochain(k + 1, INT, np.array(out, dtype=object))
+    # row i of d_k holds the k + 2 faces of (k+1)-simplex i, so its
+    # products are k + 2 consecutive triplets; object arrays keep the
+    # products and sums in Python ints
+    terms = d.vals.astype(object) * np.asarray(cochain.values,
+                                               dtype=object)[d.cols]
+    return Cochain(k + 1, INT, terms.reshape(-1, k + 2).sum(axis=1))
 
 
 # -- fundamental cycle -------------------------------------------------

@@ -38,23 +38,25 @@ def symmetry_from_oneform(complex_, gamma):
     return VerticalSymmetry(Cochain(1, REAL, gamma.as_float()))
 
 
-def _gamma_cup_f(complex_, gamma, bundle, a):
-    """gamma u F(A), the cochain both obstruction readings start from."""
+def _gamma_cup_f(complex_, gammas, bundle, a):
+    """gamma u F(A) for each gamma, with F(A) formed once: the cochains
+    both obstruction readings start from."""
     if bundle.base is not complex_:
         raise Error("BASE_MISMATCH", "bundle lives on a different complex")
-    return cup(complex_, gamma, curvature(bundle, a))
+    f = curvature(bundle, a)
+    return [cup(complex_, gamma, f) for gamma in gammas]
 
 
 def obstruction_pairing(complex_, symmetry, bundle, a):
     """2 * <gamma u F(A), [X]>; class-level, independent of A and of
     the representative of gamma."""
-    return 2.0 * pair_with_fundamental(
-        complex_, _gamma_cup_f(complex_, symmetry.gamma, bundle, a))
+    w, = _gamma_cup_f(complex_, [symmetry.gamma], bundle, a)
+    return 2.0 * pair_with_fundamental(complex_, w)
 
 
 def obstruction_class(complex_, symmetry, bundle, a):
     """Coordinates of 2*(gamma u F) in the H^3 basis."""
-    w = _gamma_cup_f(complex_, symmetry.gamma, bundle, a)
+    w, = _gamma_cup_f(complex_, [symmetry.gamma], bundle, a)
     return 2.0 * basis(complex_, complex_.dim).coordinates(w.values)
 
 
@@ -62,8 +64,9 @@ def h1_pairings(complex_, bundle, a):
     """The H^1 basis representatives and the obstruction pairing of each
     with the bundle at the connection a."""
     gammas = basis(complex_, 1).representative_cochains()
-    return gammas, np.array([obstruction_pairing(
-        complex_, VerticalSymmetry(g), bundle, a) for g in gammas], float)
+    return gammas, np.array([
+        2.0 * pair_with_fundamental(complex_, w)
+        for w in _gamma_cup_f(complex_, gammas, bundle, a)], float)
 
 
 @dataclass(frozen=True)

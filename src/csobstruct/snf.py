@@ -4,14 +4,21 @@ The reduction is a sparse replay of dense elimination: it performs the
 same elementary operations in the same order, so it gives the same U,
 S, V and v_inv bit for bit (tests/oracles.py keeps the dense form as the
 reference).  Step t pivots on the first minimal-|entry| nonzero of the
-remaining block, in row-major order of the current positions (a row
-walk that stops at the first +-1, taking its leftmost one; a full scan
-only when no unit is left), swaps it to (t, t), makes it positive and
-clears its column and row by floor-quotient operations, again while
-remainders are left; a pivot other than 1 that does not divide the rest
-of the block has the first offending row added to its row, and the step
-starts again.  Small pivots keep entry growth tame on incidence-style
-matrices.
+remaining block, in row-major order of the current positions, swaps it
+to (t, t), makes it positive and clears its column and row by
+floor-quotient operations, again while remainders are left; a pivot
+other than 1 that does not divide the rest of the block has the first
+offending row added to its row, and the step starts again.  Small
+pivots keep entry growth tame on incidence-style matrices.
+
+The pivot search walks the live rows only: the positions whose rows may
+still be nonempty, in order.  A row seen empty leaves that list for
+good, since every write goes to the pivot row or to a row with an entry
+in the pivot column, and the divisibility check reads the same list.
+The walk stops at the first row holding a +-1 and takes its leftmost
+one.  A pivot of 1 leaves its column clear of all but itself, so each
+column operation that clears its row writes that row alone: the row is
+cleared in bulk, with the same record and no write per entry.
 
 The input is a complex_core.SparseMatrix, the library's one form of a
 reduction input (d_k and the image lattices arrive in it); a caller's
@@ -216,6 +223,10 @@ def _smith(M):
     clab, cpos = list(range(n)), list(range(n))
     row_ops, col_ops = [], []
     diag = []
+    # live lists, ascending, the positions from t on whose rows may be
+    # nonempty: every nonempty one is in it.  An empty row never refills,
+    # so the search drops the rows it sees empty.
+    live = [p for p in range(m) if rows[p]]
 
     def put(r, c, x):              # S[r, c] = x
         row = rows[r]
@@ -233,42 +244,75 @@ def _smith(M):
 
     while len(diag) < min(m, n):
         t = len(diag)              # steps done; the block is S[t:, t:]
+        if live and live[0] < t:
+            del live[0]            # the last step's pivot row
         # the first minimal |entry| of the block, row-major by position
         best = None
-        for p in range(t, m):
+        kept = []                  # the nonempty rows walked
+        for i, p in enumerate(live):
             row = rows[rlab[p]]
-            if row:
-                mag, _, c = min((abs(x), cpos[k], k) for k, x in row.items())
-                if best is None or mag < best[0]:
-                    best = mag, p, c
-                    if mag == 1:
-                        break
+            if not row:
+                continue
+            kept.append(p)
+            mag, _, c = min((abs(x), cpos[k], k) for k, x in row.items())
+            if best is None or mag < best[0]:
+                best = mag, p, c
+                if mag == 1:
+                    break
         if best is None:
             break                  # the rest of S is zero
+        live[:i + 1] = kept
         _, p, c = best
         r = rlab[p]
         swap(rlab, rpos, t, p)
         swap(clab, cpos, t, cpos[c])
+        if live[0] != t:
+            live.insert(0, t)      # the row swapped out of t was empty
         if rows[r][c] < 0:
             rows[r] = {k: -x for k, x in rows[r].items()}
             row_ops.append((r, None, None))
-        piv = rows[r][c]
+        pivot_row = rows[r]
+        piv = pivot_row[c]
 
-        # clear column c: row s -= q * row r, so U[:, r] += q * U[:, s]
-        below = sorted(cols[c] - {r}, key=rpos.__getitem__)
+        # clear column c: row s -= q * row r, so U[:, r] += q * U[:, s];
+        # piv is the least |entry| of the block, so no q is 0.  Row r and
+        # column c hold nothing before position t, so r sorts first below
+        # and c first right.
+        below = sorted(cols[c], key=rpos.__getitem__)[1:]
         if below:
-            pivot_row = list(rows[r].items())
+            items = list(pivot_row.items())
             qs = []
             for s in below:
                 row = rows[s]
                 q = row[c] // piv
                 qs.append(q)
-                for k, x in pivot_row:
-                    put(s, k, row.get(k, 0) - q * x)
+                for k, x in items:     # S[s, k] -= q * x
+                    y = row.get(k)
+                    if y is None:
+                        row[k] = -q * x
+                        cols[k].add(s)
+                    else:
+                        y -= q * x
+                        if y:
+                            row[k] = y
+                        else:
+                            del row[k]
+                            cols[k].discard(s)
             row_ops.append((r, below, qs))
 
         # clear row r: col k -= q * col c
-        right = sorted((k for k in rows[r] if k != c), key=cpos.__getitem__)
+        right = sorted(pivot_row, key=cpos.__getitem__)[1:]
+        if piv == 1:
+            # q = S[s, c] left column c clear, so col k -= S[r, k] * col c
+            # writes S[r, k] = 0 alone: row r is {c: 1} afterwards, and
+            # the step is done
+            if right:
+                col_ops.append((c, right, [pivot_row[k] for k in right]))
+                for k in right:
+                    cols[k].discard(r)
+                rows[r] = {c: 1}
+            diag.append(1)
+            continue
         if right:
             pivot_col = [(s, rows[s][c]) for s in cols[c]]
             qs = []
@@ -283,10 +327,8 @@ def _smith(M):
 
         # divisibility: fold the first row holding an entry the pivot does
         # not divide into row r, then take the step again
-        offender = None
-        if piv != 1:
-            offender = next((rlab[p] for p in range(t + 1, m) if any(
-                x % piv for x in rows[rlab[p]].values())), None)
+        offender = next((rlab[p] for p in live[1:] if any(
+            x % piv for x in rows[rlab[p]].values())), None)
         if offender is not None:
             for k, x in list(rows[offender].items()):
                 put(r, k, rows[r].get(k, 0) + x)

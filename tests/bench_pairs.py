@@ -9,6 +9,16 @@ P (the parent) and C (the change) are the roots of two checkouts; give
 them paths of equal length.  In each pair both sides run once, the parent
 first in odd pairs and the change first in even ones.
 
+Each side's run in a pair gets its own new PYTHONPYCACHEPREFIX and
+PYTHONDONTWRITEBYTECODE=1.  Python then reads no __pycache__ left in a
+side's src/ by a test run, which made that side's import and set-up
+read low.  Before the run, one process with writing allowed imports the
+package, perfbench's modules and what they import into the prefix, and
+the bytecode of the side's own files is then deleted: the standard
+library, numpy and scipy load from bytecode, as they do from an
+installed Python, and every run compiles the side's files from source,
+as a new checkout does.
+
 fresh: what a user pays for one command.  Each case runs in a new Python
 process that imports the package from the side's src/: the bare import
 of csobstruct.cli, and cli.run of chern on t3, sharpness on rp3 and
@@ -53,6 +63,7 @@ import os
 import pathlib
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -96,6 +107,8 @@ print(json.dumps({"first_ms": 1e3 * (t1 - t0), "repeat_ms": 1e3 * (t2 - t1),
                   "peak_rss_mb": peak, "first_rss_increment_mb": peak - before,
                   "max_residual": float(np.max(np.abs(residual)))}))
 """
+WARM = ("import csobstruct.cli, gc, json, resource, shutil, statistics, "
+        "traceback, layertrace, workloads")
 SCALING_RUN = """
 import hashlib, json, resource, sys, time
 import csobstruct as cs
@@ -135,8 +148,23 @@ def _write_inputs(root):
     return {k: str(v) for k, v in paths.items()}
 
 
-def _fresh_run(side, inputs):
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(side) / "src"))
+def _bytecode_env(side, prefix):
+    """The environment of one side's run: bytecode is read from prefix
+    and never written.  The prefix gets what WARM imports, less the
+    bytecode of the files under side."""
+    side = os.path.abspath(side)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix,
+               PYTHONDONTWRITEBYTECODE="1")
+    warm = dict(env, PYTHONPATH=os.pathsep.join(
+        (os.path.join(side, "src"), os.path.join(side, "perfbench"))))
+    del warm["PYTHONDONTWRITEBYTECODE"]
+    subprocess.run([sys.executable, "-c", WARM], env=warm, check=True)
+    shutil.rmtree(os.path.join(prefix, side.lstrip(os.sep)))
+    return env
+
+
+def _fresh_run(side, env, inputs):
+    env = dict(env, PYTHONPATH=str(pathlib.Path(side) / "src"))
     out = {}
     for case, argv in CASES.items():
         argv = [a.format(**inputs) for a in argv]
@@ -152,8 +180,8 @@ def _fresh_run(side, inputs):
     return out
 
 
-def _child_run(side, script, cases, **env):
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(side) / "src"), **env)
+def _child_run(side, env, script, cases):
+    env = dict(env, PYTHONPATH=str(pathlib.Path(side) / "src"))
     out = {}
     for case in cases:
         proc = subprocess.run([sys.executable, "-c", script, case],
@@ -164,11 +192,11 @@ def _child_run(side, script, cases, **env):
     return out
 
 
-def _perfbench_run(side, seed):
+def _perfbench_run(side, env, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--seed", str(seed),
-         "--trace", "0"], cwd=side, check=True, capture_output=True,
-        text=True)
+         "--trace", "0"], cwd=side, env=env, check=True,
+        capture_output=True, text=True)
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     return {**{k: m["value"] for k, m in last["metrics"].items()},
             "failed": last["failed"], "correct": last["correct"]}
@@ -219,15 +247,18 @@ def main():
             pair = {}
             for side in order:
                 root = getattr(args, side)
-                if args.mode == "fresh":
-                    pair[side] = _fresh_run(root, inputs)
-                elif args.mode == "scaling":
-                    pair[side] = _child_run(root, SCALING_RUN, SCALING)
-                elif args.mode == "solve":
-                    pair[side] = _child_run(root, SOLVE_RUN, SOLVE,
-                                            **ONE_THREAD)
-                else:
-                    pair[side] = _perfbench_run(root, i)
+                with tempfile.TemporaryDirectory(dir=tmp) as prefix:
+                    env = _bytecode_env(root, prefix)
+                    if args.mode == "fresh":
+                        pair[side] = _fresh_run(root, env, inputs)
+                    elif args.mode == "scaling":
+                        pair[side] = _child_run(root, env, SCALING_RUN,
+                                                SCALING)
+                    elif args.mode == "solve":
+                        pair[side] = _child_run(root, dict(env, **ONE_THREAD),
+                                                SOLVE_RUN, SOLVE)
+                    else:
+                        pair[side] = _perfbench_run(root, env, i)
             moved = [case for case in SCALING if args.mode == "scaling" and
                      pair["parent"][f"{case}.digest"] !=
                      pair["change"][f"{case}.digest"]]

@@ -135,6 +135,22 @@ class TestApplyD:
             assert abs(int(v)) == (1 if i in incident else 0)
 
 
+    def test_int_path_is_exact(self, fixtures3d):
+        """Integer coboundaries sum in Python ints: entries of size
+        10**300 come out exact, as the oracle's dense object product."""
+        rng = np.random.default_rng(18)
+        for K in fixtures3d.values():
+            for k in range(K.dim):
+                a, b = rng.integers(-3, 4, size=(2, K.n_simplices(k)))
+                v = np.array([10 ** 300 * int(x) + int(y)
+                              for x, y in zip(a, b)], dtype=object)
+                got = apply_d(K, Cochain(k, "int", v)).values
+                want = coboundary_csr(K, k).toarray().astype(object) @ v
+                assert got.dtype == object and got.shape == want.shape
+                assert all(type(x) is int for x in got)
+                assert (got == want).all()
+
+
 class TestSummationOrder:
     """Real products sum each row in ascending column order, as the CSR
     products that the library used before did, so printed digits stay."""
