@@ -160,13 +160,13 @@ class SimplicialComplex:
     def _d_triplets(self, k):
         """d_k: C^k -> C^{k+1} as a SparseMatrix (intp rows and cols, int64
         signs), sorted by row and then column, the order a CSR product
-        sums in; d_{-1} is the n_0 x 0 matrix."""
+        sums in; d_{-1} is the n_0 x 0 matrix and d_dim the 0 x n_dim one."""
         return self._memo(("triplets", k), lambda: self._build_triplets(k))
 
     def _build_triplets(self, k):
         # dropping a later vertex gives a lex-smaller face: drop the last first
         drops = range(k + 1, -1, -1)
-        taus = self.simplices[k + 1] if k >= 0 else []
+        taus = self.simplices[k + 1] if 0 <= k < self.dim else []
         cols = [self._index[k][tau[:i] + tau[i + 1:]]
                 for tau in taus for i in drops]
         return SparseMatrix((self.n_simplices(k + 1), self.n_simplices(k)),

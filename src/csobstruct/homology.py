@@ -1,9 +1,10 @@
 """Integer and real cohomology: groups, bases, primitives.
 
-Everything is read off exact Smith normal forms, made once per complex:
-one per coboundary, kept in the complex's memo (that of d_{dim-1} also
-splits H^dim), and one per image lattice below the top degree (Munkres,
-Elements of Algebraic Topology, Sec. 11).  Besides the integral
+Everything is read off exact Smith normal forms, made once per complex,
+by one path in every degree (Munkres, Elements of Algebraic Topology,
+Sec. 11): one per coboundary d_k, kept in the complex's memo (d_dim is
+the 0 x n_dim matrix), and one per image lattice, except at the top,
+where d_k = 0 and the lattice is d_{k-1} itself.  Besides the integral
 generators, the same reductions give an exact class map P_k, an integer
 matrix that sends a closed k-cochain to its coordinates in
 the free generators: P_k g_i = e_i, P_k t = 0 on torsion generators and
@@ -88,35 +89,32 @@ def _cohomology(complex_, k):
     """(free, torsion, P_k) of H^k = ker d_k / im d_{k-1}, memoized; P_k
     is the exact class map, one row per free generator, in Python ints.
 
-    With _snf(k), d_k = U S V of rank r: v_inv[:, r:] is a basis of the
-    lattice ker d_k and V[r:, :] gives a kernel vector's coordinates in it
-    (at k = dim the kernel is all of C^k, in the standard basis).  Below
-    the top, H^0 is ker d_0 itself (d_{-1} = 0): its free generators are
-    the kernel columns, with no torsion, and P_0 = V[r:, :].  Otherwise
-    the image is d_{k-1}, reduced by _snf(k-1), at k = dim (an n_0 x 0
-    matrix at k = 0); below it, the lattice V[r:, :] @ d_{k-1}, summed
-    from the rows of V and the triplets of d_{k-1} and reduced here.
-    With image = U_2 S_2 V_2 of rank r_2, the generators are the columns
-    of U_2 at the torsion positions (d_i > 1) and the free ones (i >= r_2),
-    and P_k is the rows r_2: of U_2^-1.  Below the top each is carried
-    into C^k by one more walk, started from those lines placed at
-    positions r + j: v_inv[:, r:] @ U_2[:, i] and U_2^-1[i, :] @ V[r:, :].
-    Every product is a walk of a record (SNFResult.lines).  Both
-    reductions read a SparseMatrix: d_k is the complex's own, and the
-    lattice is built straight into that form; only the outputs are dense.
+    One path for every degree, as d_{-1} (n_0 x 0) and d_dim (0 x n_dim)
+    are matrices with no entries.  With _snf(k), d_k = U S V of rank r:
+    v_inv[:, r:] is a basis of the lattice ker d_k and V[r:, :] gives a
+    kernel vector's coordinates in it.  The image lattice is
+    V[r:, :] @ d_{k-1}, summed from the rows of V and the triplets of
+    d_{k-1} and reduced here (at k = 0 an (n_0 - r) x 0 matrix); when
+    d_k = 0, which holds only at the top, V is the identity and the
+    lattice is d_{k-1} itself, read from _snf(k-1).  With
+    image = U_2 S_2 V_2 of rank r_2, the generators are the columns of U_2
+    at the torsion positions (d_i > 1) and the free ones (i >= r_2), and
+    P_k is the rows r_2: of U_2^-1.  Each is carried into C^k by one more
+    walk, started from those lines placed at positions r + j:
+    v_inv[:, r:] @ U_2[:, i] and U_2^-1[i, :] @ V[r:, :].  Every product
+    is a walk of a record (SNFResult.lines).  Both reductions read a
+    SparseMatrix: d_k is the complex's own, and the lattice is built
+    straight into that form; only the outputs are dense.
     """
     def build():
-        if k == complex_.dim:
+        res, n = _snf(complex_, k), complex_.n_simplices(k)
+        r = res.rank
+        if r == 0:                         # d_k = 0: only at the top
             image = _snf(complex_, k - 1)
         else:
-            res, n = _snf(complex_, k), complex_.n_simplices(k)
-            r = res.rank
-            V = res.lines("V", _units(range(r, n)))
-            if k == 0:                     # H^0 = ker d_0, with no image
-                G = _dense(res.lines("v_inv", _units(range(r, n))), n - r)
-                return list(G), [], _dense(V, n - r)
             # column j of the lattice: s times line c of V, summed over the
             # triplets (c, j, s) of d_{k-1}
+            V = res.lines("V", _units(range(r, n)))
             d = complex_._d_triplets(k - 1)
             lattice = [{} for _ in range(d.shape[1])]
             for c, j, s in zip(d.rows.tolist(), d.cols.tolist(),
@@ -126,11 +124,11 @@ def _cohomology(complex_, k):
         m, r2, diag = image.shape[0], image.rank, image.diag
         torsion = [i for i in range(r2) if diag[i] > 1]
         wanted = torsion + list(range(r2, m))
-        gens = image.lines("U", _units(wanted))
-        cmap = image.lines("U_inv", _units(range(r2, m)))
-        if k < complex_.dim:               # kernel coordinates -> C^k
-            gens = res.lines("v_inv", dict(enumerate(gens, r)))
-            cmap = res.lines("V", dict(enumerate(cmap, r)))
+        # kernel coordinates -> C^k
+        gens = res.lines("v_inv", dict(enumerate(
+            image.lines("U", _units(wanted)), r)))
+        cmap = res.lines("V", dict(enumerate(
+            image.lines("U_inv", _units(range(r2, m))), r)))
         G = _dense(gens, len(wanted))
         return list(G[len(torsion):]), [
             (diag[i], g) for i, g in zip(torsion, G)], _dense(cmap, m - r2)

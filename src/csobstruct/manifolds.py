@@ -86,40 +86,25 @@ def _cross_polytope_boundary():
 def rp3():
     """RP^3 as the antipodal quotient of the subdivided cross-polytope.
 
-    The barycentric subdivision has one vertex per face; the antipodal map
-    permutes faces freely, so identifying each face with its antipode
-    yields a simplicial quotient (no subdivision simplex meets its own
-    image).  The result is machine-checked to be a closed 3-complex.
+    The barycentric subdivision has one vertex per face and one simplex
+    per flag: for each ordering of a facet's vertices, the faces spanned
+    by its first 1, 2, 3 and 4.  The antipodal map permutes faces freely,
+    and no subdivision simplex meets its own image, so labelling each
+    face and its antipode by their orbit yields a simplicial quotient
+    with 192 facets, which _oriented checks to be closed and orientable.
     """
     sphere = _cross_polytope_boundary()
-
-    all_faces = [s for k in range(4) for s in sphere.simplices[k]]
-    face_index = {s: i for i, s in enumerate(all_faces)}
 
     def antipode(face):
         return tuple(sorted((v + 4) % 8 for v in face))
 
-    # orbit representatives, in a deterministic order
-    reps = sorted(f for f in all_faces if f <= antipode(f))
-    orbit = {}
-    for i, r in enumerate(reps):
-        orbit[face_index[r]] = i
-        orbit[face_index[antipode(r)]] = i
-
-    tops = set()
-    for tet in sphere.simplices[3]:
-        tet_faces = [f for r in range(1, 5)
-                     for f in itertools.combinations(tet, r)]
-        chains = [c for c in itertools.combinations(tet_faces, 4)
-                  if all(set(c[i]) < set(c[i + 1]) for i in range(3))]
-        for chain in chains:
-            labels = tuple(sorted(orbit[face_index[f]] for f in chain))
-            if len(set(labels)) != 4:
-                raise Error("BAD_PARAMETER", "quotient identified a simplex")
-            tops.add(labels)
-    if len(tops) != 192:
-        raise Error("BAD_PARAMETER",
-                    f"unexpected RP3 facet count {len(tops)}")
+    # orbit labels, in the order of each orbit's smaller face
+    reps = sorted(f for k in range(4) for f in sphere.simplices[k]
+                  if f <= antipode(f))
+    orbit = {f: i for i, r in enumerate(reps) for f in (r, antipode(r))}
+    tops = {tuple(sorted(orbit[tuple(sorted(flag[:j]))] for j in range(1, 5)))
+            for tet in sphere.simplices[3]
+            for flag in itertools.permutations(tet)}
     return _oriented(SimplicialComplex(sorted(tops)))
 
 

@@ -71,3 +71,14 @@ def random_int_cocycle(rng, complex_, k=2):
     for _, g in tors:
         vals = vals + int(rng.integers(0, 2)) * g
     return Cochain(k, "int", vals)
+
+
+def with_entries(runs, empty_shapes):
+    """The (input, result) runs of a Smith reduction whose input has
+    entries, in call order, once the others are checked to have exactly
+    the given shapes, in order, and to have left empty records."""
+    empty = [(A, res) for A, res in runs if not A.size]
+    assert [A.shape for A, _ in empty] == empty_shapes
+    for _, res in empty:
+        assert res.diag == res._row_ops == res._col_ops == []
+    return [(A, res) for A, res in runs if A.size]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import csobstruct as cs
-from csobstruct import cech, obstruction
+from csobstruct import cech, homology, obstruction
 from csobstruct.cli import run
 from csobstruct.complex_core import Cochain, dump_cochain, dump_complex
 from conftest import random_int_cochain
@@ -122,6 +122,9 @@ class TestMalformedComplex:
         ({"top_simplices": TETRA, "orientation": [True, -1, 1, -1]},
          "BAD_ORIENTATION"),
         ({"top_simplices": [[0, 1]], "dim": True}, "PARSE_ERROR"),
+        ({"dim": 2}, "PARSE_ERROR"),
+        ([], "PARSE_ERROR"),
+        ({"top_simplices": []}, "DANGLING_VERTEX"),
     ])
     def test_exits_one_with_code(self, capsys, tmp_path, doc, code):
         """Bad shapes and vertices are parse errors and any bad orientation
@@ -157,6 +160,9 @@ class TestPrimitive:
         _cochain_doc('"a"'),
         _cochain_doc("0.0", degree='"x"'),
         _cochain_doc("null"),
+        _cochain_doc("0.0")[:-1],
+        '{"degree": 2, "ring": "real"}',
+        '{"degree": 2, "ring": "real", "values": 5}',
     ])
     def test_malformed_cochain_is_parse_error(self, capsys, paths,
                                               tmp_path, doc):
@@ -164,6 +170,22 @@ class TestPrimitive:
         p.write_text(doc)
         err = report(capsys, ["primitive", paths["s3"], str(p)], expect=1)
         assert "PARSE_ERROR" in err
+
+    def test_unknown_ring_is_bad_ring(self, capsys, paths, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(_cochain_doc("0.0", ring='"complex"'))
+        err = report(capsys, ["primitive", paths["s3"], str(p)], expect=1)
+        assert "BAD_RING" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), ([], 2), (["homology"], 2)])
+def test_help_and_usage_exit_codes(capsys, argv, code):
+    """argparse's exits (help, and usage errors for a missing subcommand
+    or argument) become cli.run's return value."""
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert "usage:" in (captured.out if code == 0 else captured.err)
 
 
 @pytest.mark.parametrize("cmd, degree, ring", [
@@ -262,6 +284,24 @@ class TestCrossChecks:
         solve = cech.find_primitive
         monkeypatch.setattr(cech, "find_primitive", lambda *args: (
             dataclasses.replace(solve(*args), primitive=None)))
+        err = report(capsys, ["current", paths["s3"], paths["exact2_s3"]],
+                     expect=2)
+        assert "VERDICT_INCONSISTENT" in err
+
+    def test_solve_side_check_catches_a_residual(self, capsys, paths,
+                                                 monkeypatch):
+        """A solve whose residual exceeds the tolerance is not a
+        primitive: primitive reports the exact s3 cochain as not exact,
+        and current's two routes then disagree."""
+        solve = homology._least_squares
+
+        def off_by_one(*args):
+            x, residual = solve(*args)
+            return x, residual + 1.0
+
+        monkeypatch.setattr(homology, "_least_squares", off_by_one)
+        r = report(capsys, ["primitive", paths["s3"], paths["exact2_s3"]])
+        assert r["exact"] is False
         err = report(capsys, ["current", paths["s3"], paths["exact2_s3"]],
                      expect=2)
         assert "VERDICT_INCONSISTENT" in err

@@ -227,3 +227,26 @@ def test_triple_cup_on_t3(t3):
     g1, g2, g3 = cs.basis(t3, 1).representative_cochains()
     val = cs.pair_with_fundamental(t3, cs.cup(t3, g1, cs.cup(t3, g2, g3)))
     assert abs(abs(val) - 1.0) < 1e-12
+
+
+def test_triple_cup_on_t3_is_exact_in_ints(t3):
+    """On INT cochains the pairing sums in Python ints: the integral H^1
+    generators a, b, c of t3 give <a u b u c, [X]> = -1 exactly."""
+    a, b, c = (Cochain(1, "int", g) for g in cs.integral_generators(t3, 1)[0])
+    val = cs.pair_with_fundamental(t3, cs.cup(t3, a, cs.cup(t3, b, c)))
+    assert type(val) is int and val == -1
+
+
+def test_int_pairing_equals_real_pairing(t3, s1xs2):
+    """Every pairing of an integral H^1 and H^2 generator is a Python int
+    on the INT path and the same value on the REAL path."""
+    for K in (t3, s1xs2):
+        ones, twos = (cs.integral_generators(K, k)[0] for k in (1, 2))
+        for g in ones:
+            for h in twos:
+                exact = cs.pair_with_fundamental(K, cs.cup(
+                    K, Cochain(1, "int", g), Cochain(2, "int", h)))
+                real = cs.pair_with_fundamental(K, cs.cup(
+                    K, Cochain(1, "real", g.astype(float)),
+                    Cochain(2, "real", h.astype(float))))
+                assert type(exact) is int and exact == real

@@ -15,7 +15,7 @@ from csobstruct import homology
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from csobstruct.manifolds import circle, ordered_product, simplex_boundary
-from conftest import random_real_cochain
+from conftest import random_real_cochain, with_entries
 import oracles
 from oracles import betti as betti_oracle, coboundary_csr
 
@@ -158,7 +158,9 @@ class TestIntegralGenerators:
 
 class TestSinglePath:
     """Each d_k is reduced once per complex, by homology._snf, and read by
-    H^k and H^{k+1}; each image lattice below the top degree once more."""
+    H^k and H^{k+1}; each image lattice once more.  d_dim (0 x n_dim) and
+    the H^0 lattice ((n_0 - r_0) x 0) have no entries, and their
+    reductions leave empty records."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -166,8 +168,9 @@ class TestSinglePath:
         snf = homology.smith_normal_form
 
         def counting(M):
-            seen.append(np.asarray(M, dtype=object))
-            return snf(M)
+            res = snf(M)
+            seen.append((np.asarray(M, dtype=object), res))
+            return res
 
         monkeypatch.setattr(homology, "smith_normal_form", counting)
         return seen
@@ -178,21 +181,28 @@ class TestSinglePath:
         seen = self.spy(monkeypatch)
         cs.integral_generators(K, 3)
         d2 = coboundary_csr(K, 2).toarray()
-        assert len(seen) == 1
-        assert seen[0].shape == d2.shape and (seen[0] == d2).all()
+        assert len(seen) == 2
+        full = with_entries(seen, [(0, K.n_simplices(3))])
+        assert len(full) == 1
+        A, _ = full[0]
+        assert A.shape == d2.shape and (A == d2).all()
 
     def test_descending_degrees_make_five_reductions(self, monkeypatch):
-        """d_2, d_1, d_0 and the image lattices of H^2 and H^1."""
+        """d_2, d_1, d_0 and the image lattices of H^2 and H^1, besides
+        the empty d_3 and H^0 lattice."""
         K = cs.generate("t3")
         seen = self.spy(monkeypatch)
         for k in (3, 2, 1, 0):
             cs.integral_generators(K, k)
-        assert len(seen) == 5
+        assert len(seen) == 7
+        assert len(with_entries(seen, [(0, K.n_simplices(3)),
+                                       (1, 0)])) == 5
 
-    def test_tracer_sees_every_reduction(self):
+    def test_tracer_sees_every_reduction(self, monkeypatch):
         """perfbench/layertrace.py wraps homology.smith_normal_form and
         keys each call by the entries of the matrix it is handed; the
-        integral cohomology of t3 gives it five spans and their entries."""
+        integral cohomology of t3 gives it seven spans, five with entries
+        and the empty d_3 and H^0 lattice, and their entries."""
         path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
             / "layertrace.py"
         spec = importlib.util.spec_from_file_location("layertrace", path)
@@ -202,14 +212,20 @@ class TestSinglePath:
         tracer = layertrace.Tracer()
         tracer.install()
         try:
+            seen = self.spy(monkeypatch)    # wraps the traced function
             for k in range(K.dim + 1):
                 cs.integral_generators(K, k)
         finally:
+            monkeypatch.undo()
             tracer.uninstall()
         snf_spans = [f for f in tracer.fn
                      if tracer.names[f] == ("snf", "smith_normal_form")]
-        assert len(snf_spans) == 5
+        assert len(snf_spans) == 7
+        full = with_entries(seen, [(1, 0), (0, K.n_simplices(3))])
+        assert len(full) == 5
         assert tracer.counts[(True, "snf.entries")] > 0
+        assert tracer.counts[(True, "snf.entries")] == sum(
+            A.size for A, _ in full)
 
 
 def test_class_map_of_two_points():
@@ -433,11 +449,12 @@ def test_every_solve_is_the_one_least_squares(monkeypatch):
 def test_factor_keeps_the_exact_rank(name):
     """The float factor of d_{k-1} keeps n_k - r_k - b_k eigenpairs in
     every degree k: the rank of d_{k-1} from the integer reduction of d_k
-    (r_k = 0 at the top degree) and the Betti number."""
+    (r_k = 0 at the top degree, where d_k is 0 x n_k) and the Betti
+    number."""
     K = ordered_product(circle(3), simplex_boundary(5)) if name == "s1xs4" \
         else cs.generate(name)
     for k in range(K.dim + 1):
-        r = homology._snf(K, k).rank if k < K.dim else 0
+        r = homology._snf(K, k).rank
         b = cs.homology_groups(K, k).betti
         V, w = homology._factor(K, k)
         assert V.shape == (K.n_simplices(k - 1), len(w)), k

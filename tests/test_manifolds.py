@@ -79,6 +79,19 @@ def test_product_with_point_is_isomorphic():
             == coboundary_csr(k, 1).toarray()).all()
 
 
+def test_product_with_boundary_stays_unoriented():
+    """circle(3) times an edge is an annulus: it has no fundamental cycle,
+    so ordered_product leaves it unoriented."""
+    K = ordered_product(circle(3), cs.SimplicialComplex([(0, 1)]))
+    assert K.f_vector() == (6, 12, 6) and K.top_orientation is None
+    with pytest.raises(Error) as err:
+        fundamental_cycle(K)
+    assert err.value.code == "NOT_CLOSED"
+    assert [cs.homology_groups(K, k, "int") for k in range(3)] == [
+        cs.GroupDescriptor(1, []), cs.GroupDescriptor(1, []),
+        cs.GroupDescriptor(0, [])]
+
+
 def test_s1xs2_prism_counts():
     prod = ordered_product(circle(3), simplex_boundary(3))
     assert prod.n_vertices == 12 and prod.n_simplices(3) == 36

@@ -8,6 +8,7 @@ import pytest
 import csobstruct as cs
 from csobstruct import snf
 from csobstruct.snf import smith_normal_form
+from conftest import with_entries
 from oracles import dense_smith, exact_det, invariant_factors
 
 
@@ -43,14 +44,18 @@ def spy_on_body(monkeypatch):
 
 
 def fixture_reductions(monkeypatch):
-    """The inputs of the 20 reductions behind the integral cohomology of
-    s3, s1xs2, t3 and rp3 in every degree."""
+    """The inputs of the 20 reductions with entries behind the integral
+    cohomology of s3, s1xs2, t3 and rp3 in every degree; the 8 others,
+    of d_3 (0 x n_3) and of the H^0 lattice (1 x 0), have none."""
     runs = spy_on_body(monkeypatch)
+    empty = []
     for name in ("s3", "s1xs2", "t3", "rp3"):
         K = cs.generate(name)
         for k in range(K.dim + 1):
             cs.integral_generators(K, k)
+        empty += [(1, 0), (0, K.n_simplices(3))]
     monkeypatch.undo()
+    runs = with_entries(runs, empty)
     assert len(runs) == 12 + 8
     return [A for A, _ in runs]
 
@@ -199,14 +204,7 @@ def test_integral_floats_are_integers(M):
 def test_sparse_replay_matches_dense_reference(monkeypatch):
     """The sparse body repeats the dense elimination's every operation:
     U, S, V and v_inv equal the dense reference's, entry for entry."""
-    runs = spy_on_body(monkeypatch)
-    for name in ("s3", "s1xs2", "t3", "rp3"):
-        K = cs.generate(name)
-        for k in range(K.dim + 1):
-            cs.integral_generators(K, k)
-    monkeypatch.undo()
-    assert len(runs) == 12 + 8
-    cases = [A for A, _ in runs]
+    cases = fixture_reductions(monkeypatch)
     rng = np.random.default_rng(8)
     for _ in range(300):
         m, n = rng.integers(1, 9, size=2)
@@ -260,6 +258,7 @@ def test_records_are_pinned(monkeypatch, name):
     for k in range(K.dim + 1):
         cs.integral_generators(K, k)
     monkeypatch.undo()
+    runs = with_entries(runs, [(1, 0), (0, K.n_simplices(3))])
     assert len(runs) == 5
     h = hashlib.sha256()
     for _, res in runs:
