@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_core import (Cochain, INT, REAL, _check_length,
+from .complex_core import (Cochain, INT, REAL, SparseMatrix, _check_length,
                            fundamental_cycle)
 from .errors import Error
-from .homology import basis
+from .homology import integral_generators
 from .snf import smith_normal_form
 
 
@@ -74,7 +74,8 @@ def _fundamental_signs(complex_):
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    """P[i][j] = <w_i u e_j, [X]> over the H^k and H^{n-k} bases."""
+    """P[i][j] = <g_i u h_j, [X]> over the free integral generators g_i
+    of H^k and h_j of H^{n-k}, as floats."""
 
     degree: int
     codegree: int
@@ -85,19 +86,21 @@ class PairingMatrix:
 def poincare_pairing_matrix(complex_, k):
     """Cup pairing H^k x H^{n-k} -> R evaluated on the fundamental cycle.
 
-    The entries are integers (integral representatives), so the matrix is
-    nondegenerate exactly when it is square and its Smith normal form has
-    full rank; 0x0 is nondegenerate.  Every degree needs the fundamental
-    cycle, so a complex without one gets NOT_CLOSED or NON_ORIENTABLE.
+    Each entry is the INT cup of two free integral generators paired in
+    Python ints, so the matrix is exact, and nondegenerate exactly when
+    it is square and the Smith normal form of its nonzeros (a
+    SparseMatrix) has full rank; 0x0 is nondegenerate.  The matrix is
+    returned as floats.  Every degree needs the fundamental cycle, so a
+    complex without one gets NOT_CLOSED or NON_ORIENTABLE.
     """
     n = complex_.dim
-    bk = basis(complex_, k)             # checks the degree
+    gk = integral_generators(complex_, k)[0]        # checks the degree
     fundamental_cycle(complex_)
-    bnk = basis(complex_, n - k)
-    mat = np.zeros((bk.size, bnk.size))
-    for i, wi in enumerate(bk.representative_cochains()):
-        for j, wj in enumerate(bnk.representative_cochains()):
-            mat[i, j] = pair_with_fundamental(complex_, cup(complex_, wi, wj))
-    nondeg = bk.size == bnk.size and \
-        smith_normal_form(mat).rank == bk.size
-    return PairingMatrix(k, n - k, mat, nondeg)
+    gnk = integral_generators(complex_, n - k)[0]
+    P = np.array([[pair_with_fundamental(complex_, cup(
+        complex_, Cochain(k, INT, wi), Cochain(n - k, INT, wj)))
+        for wj in gnk] for wi in gk], dtype=object).reshape(len(gk), len(gnk))
+    ij = np.nonzero(P)
+    nondeg = len(gk) == len(gnk) and smith_normal_form(SparseMatrix(
+        P.shape, *ij, P[ij])).rank == len(gk)
+    return PairingMatrix(k, n - k, P.astype(float), nondeg)

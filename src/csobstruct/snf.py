@@ -21,13 +21,12 @@ column operation that clears its row writes that row alone: the row is
 cleared in bulk, with the same record and no write per entry.
 
 The input is a complex_core.SparseMatrix, the library's one form of a
-reduction input (d_k and the image lattices arrive in it); a caller's
-nested lists or 2-D array are checked and made sparse once, so the body
-reads only nonzeros.  S is held sparse, in one dict of nonzero Python
-ints per row plus a column-to-rows index; a swap only updates
-permutation maps, and a step touches only the nonzeros of its pivot row
-and column.  The arithmetic is exact, so there is no overflow to guard
-against.
+reduction input (d_k, the image lattices and the pairing matrices arrive
+in it), so the body reads only nonzeros.  S is held sparse, in one dict
+of nonzero Python ints per row plus a column-to-rows index; a swap only
+updates permutation maps, and a step touches only the nonzeros of its
+pivot row and column.  The arithmetic is exact, so there is no overflow
+to guard against.
 
 The transforms are never formed while reducing.  The body keeps one
 record of its row operations on S and one of its column operations, in
@@ -39,13 +38,12 @@ A start line at position p is unit line p, or any integer combination
 of such lines: the walk is linear, so a combined start gives the same
 combination of transform lines, in one walk.  A caller reads products
 with a transform (generators, class maps) by starting from its own
-lines, and gets sparse lines back; no m x m or n x n transform is made
-unless it asks for a whole one (the U, V and v_inv properties).
+lines, and gets sparse lines back; no m x m or n x n transform is ever
+made (tests/oracles.py builds whole ones from unit lines).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +59,9 @@ class SNFResult:
     Keeps the shape, diag (the invariant factors d_1 | d_2 | ..., then
     zeros, min(m, n) in all), the row and column operation records and
     the row and column labels in position order (see _smith).  lines()
-    walks a record into the transform lines a caller reads, as sparse
-    dicts of Python ints; U, S, V and v_inv (the exact inverse of V) are
-    whole object arrays, made on each request.
+    walks a record into the transform lines a caller reads (v_inv is the
+    exact inverse of V), as sparse dicts of Python ints; no whole U, S, V
+    or v_inv is kept or made.
     """
 
     shape: tuple
@@ -77,39 +75,17 @@ class SNFResult:
     def rank(self):
         return sum(1 for d in self.diag if d != 0)
 
-    @property
-    def invariant_factors(self):
-        return [d for d in self.diag if d != 0]
-
-    @property
-    def U(self):
-        return self._whole("U", self.shape[0]).T
-
-    @property
-    def S(self):
-        t = np.arange(self.rank)
-        return np.asarray(SparseMatrix(self.shape, t, t, np.array(
-            self.invariant_factors, dtype=object)))
-
-    @property
-    def V(self):
-        return self._whole("V", self.shape[1])
-
-    @property
-    def v_inv(self):
-        return self._whole("v_inv", self.shape[1]).T
-
-    def _whole(self, which, n):
-        return _dense(self.lines(which, _units(range(n))), n)
-
     def lines(self, which, start):
         """Combined lines of one transform: columns of U, rows of U_inv
         (U^-1), rows of V or columns of v_inv, as which says.
 
         start maps a position p to a sparse line {t: x}: line t is the
         sum of x times the transform's line p over the positions.  The
-        result holds, per row or column label k, the dict {t: entry k of
-        line t}; _dense makes it an array.
+        walk consumes the start dicts: each becomes the result's line at
+        its label and may be changed in place, so a caller passes fresh
+        dicts it does not read again.  The result holds, per row or
+        column label k, the dict {t: entry k of line t}; _dense makes it
+        an array.
         """
         pull = {"U": False, "U_inv": True, "V": False, "v_inv": True}[which]
         if which in ("U", "U_inv"):
@@ -148,11 +124,12 @@ def _replay(ops, lab, start, pull):
     (y[j] += q * y[i]); a row of U^-1 or a column of v_inv is pulled
     through the inverse operations (y[i] -= q * y[j]); a negation negates
     y[i].  y[k] holds entry k of every line, so both directions add one
-    sparse dict into another.  Position p holds label lab[p].
+    sparse dict into another.  Position p holds label lab[p], and its
+    start line is y[lab[p]] itself, not a copy.
     """
     y = [{} for _ in lab]
     for p, line in start.items():
-        y[lab[p]] = dict(line)
+        y[lab[p]] = line
     for i, js, qs in reversed(ops):
         if js is None:
             y[i] = {t: -x for t, x in y[i].items()}
@@ -175,30 +152,15 @@ def _add(line, other, q):          # line += q * other
             line.pop(k, None)
 
 
-def _int_matrix(M):
-    """The nonzeros of M as a SparseMatrix, once M is checked to be a 2-D
-    array of numbers (nested lists become an object array); the body
-    checks the nonzeros are integers."""
-    A = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
-    if A.shape == (0,):            # [] has no row to give the width
-        A = A.reshape(0, 0)
-    if A.ndim != 2:
-        raise Error("BAD_PARAMETER", f"matrix must be 2-D, not of shape "
-                                     f"{A.shape}")
-    if A.dtype.kind not in "iufO" or A.dtype.kind == "O" and any(
-            t is bool or not issubclass(t, numbers.Real)
-            for t in set(map(type, A.ravel().tolist()))):
-        raise Error("BAD_PARAMETER", "matrix entries must be numbers")
-    ij = np.nonzero(A)
-    return SparseMatrix(A.shape, *ij, A[ij])
-
-
 def smith_normal_form(M):
-    """Exact SNF of an integer matrix: a SparseMatrix, the library's own
-    form, or nested lists or a 2-D array, which are checked and made
-    sparse once.  Integral floats and rationals of denominator 1 count as
-    integers (complex_core._is_int), anything else is BAD_PARAMETER."""
-    return _smith(M if isinstance(M, SparseMatrix) else _int_matrix(M))
+    """Exact SNF of an integer matrix, given as a SparseMatrix; anything
+    else is BAD_PARAMETER.  Integral floats and rationals of denominator 1
+    count as integers (complex_core._is_int), any other entry is
+    BAD_PARAMETER."""
+    if not isinstance(M, SparseMatrix):
+        raise Error("BAD_PARAMETER", f"matrix must be a SparseMatrix, not "
+                                     f"{type(M).__name__}")
+    return _smith(M)
 
 
 def _smith(M):

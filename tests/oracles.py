@@ -14,8 +14,12 @@ reads class coordinates by Poincare duality, without the class map.
 min_norm_solution is the exact minimum-norm least-squares solution, by
 rational row reduction and a Fraction solve, the reference for the
 package's factored solve.
-coboundary_csr is the one exception: it puts the package's own d_k
-triplets into a scipy CSR matrix, for tests that read d_k as a matrix.
+coboundary_csr, sparse and whole are the exceptions: coboundary_csr
+puts the package's own d_k triplets into a scipy CSR matrix, for tests
+that read d_k as a matrix; sparse puts a test's matrix into the
+package's SparseMatrix, the one input smith_normal_form takes; and
+whole reads a whole U, S, V or v_inv out of an SNFResult's records,
+which the package never forms, for comparison with dense_smith.
 """
 
 import bisect
@@ -27,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from csobstruct import fundamental_cycle, integral_generators
-from csobstruct.complex_core import Cochain
+from csobstruct.complex_core import Cochain, SparseMatrix
 
 
 def coboundary_csr(complex_, k):
@@ -253,6 +257,46 @@ def torsion(complex_, k):
         return []
     mat = coboundary_csr(complex_, k - 1).toarray().tolist()
     return [d for d in invariant_factors(mat) if d > 1]
+
+
+def sparse(M):
+    """Nested lists or a 2-D array as a SparseMatrix of its nonzeros,
+    each entry as given, so the reduction body checks it."""
+    A = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
+    if A.shape == (0,):            # [] has no row to give the width
+        A = A.reshape(0, 0)
+    ij = np.nonzero(A)
+    return SparseMatrix(A.shape, *ij, A[ij])
+
+
+def densify(lines, count):
+    """SNFResult.lines' per-label dicts as the rows of an object array,
+    one row per line."""
+    X = np.zeros((count, len(lines)), dtype=object)
+    for k, line in enumerate(lines):
+        for t, x in line.items():
+            X[t, k] = x
+    return X
+
+
+def unit_lines(res, which, positions):
+    """An SNFResult's transform lines at the given positions, as rows."""
+    start = {p: {t: 1} for t, p in enumerate(positions)}
+    return densify(res.lines(which, start), len(positions))
+
+
+def whole(res, which):
+    """U, S, V or v_inv of an SNFResult as a whole object array of Python
+    ints: S from diag, the others from all their unit lines (columns of U
+    and v_inv, rows of V)."""
+    m, n = res.shape
+    if which == "S":
+        S = np.zeros((m, n), dtype=object)
+        for t, d in enumerate(res.diag):
+            S[t, t] = d
+        return S
+    X = unit_lines(res, which, range(m if which == "U" else n))
+    return X if which == "V" else X.T
 
 
 def dense_smith(M):

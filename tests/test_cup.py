@@ -1,11 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import csobstruct as cs
-from csobstruct.complex_core import Cochain
+from csobstruct.complex_core import Cochain, SparseMatrix
 from csobstruct.errors import Error
 from conftest import random_int_cochain, random_real_cochain
 from oracles import cup_reference
+
+cup_mod = importlib.import_module("csobstruct.cup")   # cs.cup is the function
 
 
 def test_constant_unit_is_identity(t3):
@@ -211,6 +215,50 @@ def test_pairing_needs_fundamental_cycle(top, k, code):
     with pytest.raises(cs.Error) as err:
         cs.poincare_pairing_matrix(K, k)
     assert err.value.code == code
+
+
+def test_pairing_matrix_is_exact(monkeypatch, fixtures3d):
+    """poincare_pairing_matrix pairs only INT cochains, each to a Python
+    int, and hands the reduction a SparseMatrix of those ints (its
+    nonzeros); .matrix holds the same values as floats, and each equals
+    the loop-reference pairing of two integral generators.  On all four
+    fixtures and every degree."""
+    pair, snf = cup_mod.pair_with_fundamental, cup_mod.smith_normal_form
+    paired, reduced = [], []
+
+    def pair_spy(K, omega):
+        value = pair(K, omega)
+        paired.append((omega, value))
+        return value
+
+    def snf_spy(M):
+        reduced.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(cup_mod, "pair_with_fundamental", pair_spy)
+    monkeypatch.setattr(cup_mod, "smith_normal_form", snf_spy)
+    for name, K in fixtures3d.items():
+        n = K.dim
+        eps = [int(e) for e in cs.fundamental_cycle(K).values]
+        for k in range(n + 1):
+            paired.clear()
+            reduced.clear()
+            p = cs.poincare_pairing_matrix(K, k)
+            g, h = (cs.integral_generators(K, d)[0] for d in (k, n - k))
+            assert len(paired) == len(g) * len(h), (name, k)
+            assert all(w.ring == "int" and type(v) is int
+                       for w, v in paired), (name, k)
+            (M,) = reduced
+            assert isinstance(M, SparseMatrix), (name, k)
+            assert M.shape == p.matrix.shape == (len(g), len(h))
+            assert all(type(x) is int and x != 0 for x in M.vals), (name, k)
+            assert p.matrix.dtype == float
+            assert (np.asarray(M, dtype=float) == p.matrix).all(), (name, k)
+            expect = np.array([[float(sum(e * v for e, v in zip(
+                eps, cup_reference(K, Cochain(k, "int", a),
+                                   Cochain(n - k, "int", b)))))
+                for b in h] for a in g]).reshape(p.matrix.shape)
+            assert (p.matrix == expect).all(), (name, k)
 
 
 def test_t3_pairing_rank_three(t3):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import csobstruct as cs
-from csobstruct import snf
+from csobstruct import homology, snf
+from csobstruct.complex_core import SparseMatrix
 from csobstruct.snf import smith_normal_form
 from conftest import with_entries
-from oracles import dense_smith, exact_det, invariant_factors
+from oracles import (dense_smith, densify, exact_det, invariant_factors,
+                     sparse, unit_lines, whole)
 
 
 def as_int(M):
@@ -18,7 +20,7 @@ def as_int(M):
 
 def assert_same(a, b):
     for f in ("U", "S", "V", "v_inv"):
-        x, y = getattr(a, f), getattr(b, f)
+        x, y = whole(a, f), whole(b, f)
         assert x.dtype == y.dtype == object and x.shape == y.shape, f
         assert all(type(v) is int for v in x.ravel()), f
         assert (x == y).all(), f
@@ -26,7 +28,7 @@ def assert_same(a, b):
 
 def python_int_run(M):
     """The reduction body on Python-int input, in the sparse form."""
-    return snf._smith(snf._int_matrix(as_int(M)))
+    return snf._smith(sparse(as_int(M)))
 
 
 def spy_on_body(monkeypatch):
@@ -60,30 +62,20 @@ def fixture_reductions(monkeypatch):
     return [A for A, _ in runs]
 
 
-def densify(lines, count):
-    """SNFResult.lines' per-label dicts as the rows of an object array,
-    one row per line."""
-    X = np.zeros((count, len(lines)), dtype=object)
-    for k, line in enumerate(lines):
-        for t, x in line.items():
-            X[t, k] = x
-    return X
-
-
-def unit_lines(res, which, positions):
-    """The transform's lines at the given positions, as rows."""
-    start = {p: {t: 1} for t, p in enumerate(positions)}
-    return densify(res.lines(which, start), len(positions))
+def factors(res):
+    """The nonzero invariant factors of an SNFResult."""
+    return [d for d in res.diag if d]
 
 
 def check_decomposition(M):
     M = as_int(M)
-    res = smith_normal_form(M)
+    res = smith_normal_form(sparse(M))
     assert_same(res, python_int_run(M))
-    assert (res.U @ res.S @ res.V == M).all()
-    assert abs(exact_det(res.U.tolist())) == 1
+    U, S, V, v_inv = (whole(res, f) for f in ("U", "S", "V", "v_inv"))
+    assert (U @ S @ V == M).all()
+    assert abs(exact_det(U.tolist())) == 1
     n = M.shape[1]
-    assert (res.V @ res.v_inv == np.eye(n, dtype=object)).all()
+    assert (V @ v_inv == np.eye(n, dtype=object)).all()
     diag = res.diag
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d]
@@ -102,8 +94,8 @@ def test_two_by_three_lattice():
 def test_zero_matrix():
     res = check_decomposition([[0, 0], [0, 0]])
     assert res.diag == [0, 0]
-    assert (res.U == np.eye(2, dtype=object)).all()
-    assert (res.V == np.eye(2, dtype=object)).all()
+    assert (whole(res, "U") == np.eye(2, dtype=object)).all()
+    assert (whole(res, "V") == np.eye(2, dtype=object)).all()
 
 
 def test_identity_one():
@@ -116,17 +108,17 @@ def test_rectangular_and_oracle_agreement():
         m, n = rng.integers(1, 7, size=2)
         M = rng.integers(-6, 7, size=(m, n))
         res = check_decomposition(M)
-        assert res.invariant_factors == invariant_factors(M.tolist())
+        assert factors(res) == invariant_factors(M.tolist())
 
 
 def test_invariance_under_unimodular_multiplication():
     rng = np.random.default_rng(1)
     M = as_int(rng.integers(-5, 6, size=(4, 5)))
-    base = smith_normal_form(M).invariant_factors
+    base = factors(smith_normal_form(sparse(M)))
     for _ in range(10):
         L = _random_unimodular(rng, 4)
         R = _random_unimodular(rng, 5)
-        assert smith_normal_form(L @ M @ R).invariant_factors == base
+        assert factors(smith_normal_form(sparse(L @ M @ R))) == base
 
 
 def _random_unimodular(rng, n):
@@ -142,8 +134,8 @@ def test_kernel_basis_spans_kernel():
     rng = np.random.default_rng(2)
     for _ in range(10):
         M = as_int(rng.integers(-4, 5, size=(4, 6)))
-        res = smith_normal_form(M)
-        kb = res.v_inv[:, res.rank:]
+        res = smith_normal_form(sparse(M))
+        kb = whole(res, "v_inv")[:, res.rank:]
         assert not (M @ kb).any()
         flo = np.array(kb.tolist(), dtype=float)
         if flo.size:
@@ -155,11 +147,11 @@ def test_kernel_coordinates_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(10):
         M = as_int(rng.integers(-3, 4, size=(3, 6)))
-        res = smith_normal_form(M)
-        kb = res.v_inv[:, res.rank:]
+        res = smith_normal_form(sparse(M))
+        kb = whole(res, "v_inv")[:, res.rank:]
         C = as_int(rng.integers(-4, 5, size=(kb.shape[1], 2)))
         Y = kb @ C
-        assert (res.V[res.rank:, :] @ Y == C).all()
+        assert (whole(res, "V")[res.rank:, :] @ Y == C).all()
 
 
 @pytest.mark.parametrize("M", [
@@ -174,7 +166,7 @@ def test_kernel_coordinates_roundtrip():
 ])
 def test_large_entries_are_exact(monkeypatch, M):
     runs = spy_on_body(monkeypatch)
-    res = smith_normal_form(M)
+    res = smith_normal_form(sparse(M))
     monkeypatch.undo()
     assert len(runs) == 1
     assert_same(res, python_int_run(M))
@@ -185,8 +177,27 @@ def test_large_entries_are_exact(monkeypatch, M):
     [[1.5]], np.array([[0.5, 2.0]]), [[float("nan")]], [[float("inf")]],
     [[1, 2], [3]], [1, 2, 3], [[[1, 2]]], 5,
     [[True, 1]], np.array([[True, False]]), [[1, "2"]], [[None, 1]],
-    [[1, [2]]], [[1j]], [[Fraction(10**400 + 1, 10**400)]]])
+    [[1, [2]]], [[1j]], [[Fraction(10**400 + 1, 10**400)]],
+    [[1]], np.array([[1, 2]])])
 def test_malformed_input_is_bad_parameter(M):
+    """Anything but a SparseMatrix is BAD_PARAMETER: nested lists and
+    arrays, well-formed or not, and scalars."""
+    with pytest.raises(cs.Error) as err:
+        smith_normal_form(M)
+    assert err.value.code == "BAD_PARAMETER"
+
+
+@pytest.mark.parametrize("x", [
+    1.5, float("nan"), float("inf"), True, "2", None, [2], 1j,
+    Fraction(10**400 + 1, 10**400)])
+def test_bad_entry_is_bad_parameter(x):
+    """A SparseMatrix entry that is not an integer is BAD_PARAMETER; the
+    entry is put into vals by hand, after a good one, as np.nonzero would
+    drop a None."""
+    vals = np.array([1, 0], dtype=object)
+    vals[1] = x
+    assert vals[1] is x
+    M = SparseMatrix((1, 2), np.array([0, 0]), np.array([0, 1]), vals)
     with pytest.raises(cs.Error) as err:
         smith_normal_form(M)
     assert err.value.code == "BAD_PARAMETER"
@@ -198,7 +209,8 @@ def test_malformed_input_is_bad_parameter(M):
 def test_integral_floats_are_integers(M):
     res = check_decomposition(M)
     assert res.diag == [2]
-    assert_same(res, smith_normal_form([[2, 4]]))
+    assert_same(res, smith_normal_form(sparse([[2, 4]])))
+    assert_same(smith_normal_form(sparse(M)), res)
 
 
 def test_sparse_replay_matches_dense_reference(monkeypatch):
@@ -231,9 +243,9 @@ def test_sparse_replay_matches_dense_reference(monkeypatch):
         [[2**31 - 1, 0, 0], [0, 2**31 - 3, 0], [0, 0, 2**31 - 5]],
     ]
     for M in cases:
-        res = smith_normal_form(M)
+        res = smith_normal_form(sparse(M))
         for f, ref in zip(("U", "S", "V", "v_inv"), dense_smith(M)):
-            x = getattr(res, f)
+            x = whole(res, f)
             assert x.shape == ref.shape and (x == ref).all(), f
 
 
@@ -282,14 +294,14 @@ def test_u_inv_tail(monkeypatch):
               np.zeros((3, 0), dtype=np.int64),
               np.zeros((0, 3), dtype=np.int64)]
     for M in cases:
-        res = smith_normal_form(M)
-        m, r = res.S.shape[0], res.rank
+        res = smith_normal_form(sparse(M))
+        m, r = res.shape[0], res.rank
         tail = unit_lines(res, "U_inv", range(r, m))
         assert tail.shape == (m - r, m) and tail.dtype == object
         assert all(type(x) is int for x in tail.ravel())
         expect = np.zeros((m - r, m), dtype=object)
         expect[:, r:] = np.eye(m - r, dtype=int)
-        assert (tail @ res.U == expect).all()
+        assert (tail @ whole(res, "U") == expect).all()
 
 
 def test_slice_accessors_match_dense_reference(monkeypatch):
@@ -322,7 +334,7 @@ def test_slice_accessors_match_dense_reference(monkeypatch):
 
     for M in cases:
         U, S, V, v_inv = dense_smith(M)
-        res = smith_normal_form(M)
+        res = smith_normal_form(sparse(M))
         m, n = S.shape
         torsion = [i for i, d in enumerate(res.diag) if d > 1]
         torsion_seen += len(torsion)
@@ -347,7 +359,7 @@ def test_lines_walk_combined_starts(monkeypatch):
               np.zeros((0, 3), dtype=np.int64)]
     for M in cases:
         U, _, V, v_inv = (X.astype(object) for X in dense_smith(M))
-        res = smith_normal_form(M)
+        res = smith_normal_form(sparse(M))
         for which, size, expect in (
                 ("U", U.shape[0], lambda X: X @ U.T),
                 ("U_inv", U.shape[0], None),
@@ -373,9 +385,26 @@ def test_lines_walk_combined_starts(monkeypatch):
     np.zeros((3, 0), dtype=np.int64)])
 def test_empty_matrix(M):
     m, n = np.shape(M) if np.ndim(M) == 2 else (0, 0)
-    res = smith_normal_form(M)
-    assert res.S.shape == (m, n) and res.diag == [] and res.rank == 0
-    assert (res.U == np.eye(m, dtype=object)).all()
-    assert res.U.shape == (m, m)
-    for X in (res.V, res.v_inv):
+    res = smith_normal_form(sparse(M))
+    assert whole(res, "S").shape == (m, n) and res.diag == [] and \
+        res.rank == 0
+    U = whole(res, "U")
+    assert (U == np.eye(m, dtype=object)).all()
+    assert U.shape == (m, m)
+    for X in (whole(res, "V"), whole(res, "v_inv")):
         assert X.shape == (n, n) and (X == np.eye(n, dtype=object)).all()
+
+
+def test_walk_consumes_its_start_lines(t3):
+    """A walk takes ownership of its start dicts: through an empty record,
+    that of t3's d_3 (0 x n_3), each start line comes back as the very
+    dict it was given, in both directions."""
+    res = homology._snf(t3, 3)
+    n = t3.n_simplices(3)
+    assert res.shape == (0, n) and not res._col_ops
+    for which in ("V", "v_inv"):
+        start = {p: {t: 1} for t, p in enumerate(range(0, n, 7))}
+        got = res.lines(which, start)
+        assert len(got) == n
+        assert all(got[p] is line for p, line in start.items())
+        assert all(not got[p] for p in range(n) if p not in start)
