@@ -8,8 +8,8 @@ homomorphism on the closed-star cover.
 """
 
 from .bundle import (Connection, FlatResult, U1Bundle, cs_action,
-                     cs_gradient, cs_gradient_fd, curvature, flatten,
-                     gauge_transform, make_bundle, real_chern_class)
+                     cs_gradient, curvature, flatten, gauge_transform,
+                     make_bundle, real_chern_class)
 from .cech import (CechClass, GlobalityReport, StarCover, connecting_delta,
                    current_globality, star_cover)
 from .complex_core import (Chain, Cochain, INT, REAL, SimplicialComplex,

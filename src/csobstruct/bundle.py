@@ -134,17 +134,3 @@ def cs_gradient(complex_, a):
     grad = np.bincount(front, eps * da[back], complex_.n_simplices(1)) + \
         np.bincount(d1.cols, d1.vals * y[d1.rows], complex_.n_simplices(1))
     return Cochain(1, REAL, grad)
-
-
-def cs_gradient_fd(complex_, a, step=1e-6):
-    """Central finite-difference gradient of cs_action (oracle path)."""
-    vals = a.values.astype(float).copy()
-    out = np.zeros_like(vals)
-    for i in range(len(vals)):
-        vals[i] += step
-        plus = cs_action(complex_, Connection(vals))
-        vals[i] -= 2 * step
-        minus = cs_action(complex_, Connection(vals))
-        vals[i] += step
-        out[i] = (plus - minus) / (2 * step)
-    return Cochain(1, REAL, out)

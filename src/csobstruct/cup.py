@@ -7,6 +7,7 @@ class-level statements need.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,18 @@ def _cup_faces(complex_, k, l):
 
 
 def pair_with_fundamental(complex_, omega):
-    """Evaluate a top cochain against the fundamental cycle."""
+    """Evaluate a top cochain against the fundamental cycle.
+
+    An INT cochain is summed in Python ints, each value taken as int(v),
+    so numpy integer scalars in an object array cannot wrap.
+    """
     if omega.degree != complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE",
                     f"pairing needs degree {complex_.dim}, got {omega.degree}")
     _check_length(complex_, omega)
     if omega.ring == INT:
-        return int(sum(int(e) * int(v) for e, v in zip(
-            fundamental_cycle(complex_).values, omega.values)))
+        return sum(map(operator.mul, fundamental_cycle(
+            complex_).values.tolist(), map(int, omega.values.tolist())))
     return float(_fundamental_signs(complex_) @ omega.values)
 
 

@@ -21,12 +21,12 @@ as a new checkout does.
 
 fresh: what a user pays for one command.  Each case runs in a new Python
 process that imports the package from the side's src/: the bare import
-of csobstruct.cli, and cli.run of chern on t3, sharpness on rp3 and
-homology --degree 1 --ring int on t3.  The inputs (the two fixtures, an
-int 2-cocycle on t3 that sums its free generators and the torsion
-generator of rp3) are written once, by this tree's package, to a
-temporary directory.  Each run records its wall time and its CPU time
-(RUSAGE_CHILDREN), in ms.
+of csobstruct.cli, and cli.run of chern on t3, sharpness on rp3,
+homology --degree 1 --ring int on t3 and cs-grad-check on T^3(7).  The
+inputs (the two fixtures, T^3(7), an int 2-cocycle on t3 that sums its
+free generators and the torsion generator of rp3) are written once, by
+this tree's package, to a temporary directory.  Each run records its
+wall time and its CPU time (RUSAGE_CHILDREN), in ms.
 
 perfbench: python3 perfbench/run.py --seed <pair> --trace 0 in the
 side's root; each run records the end-to-end metrics of its last line.
@@ -85,6 +85,7 @@ CASES = {
     "sharpness rp3": ["-c", RUN, "sharpness", "{rp3}", "{rp3_int2}"],
     "homology t3 --degree 1 --ring int":
         ["-c", RUN, "homology", "{t3}", "--degree", "1", "--ring", "int"],
+    "cs-grad-check t3(7)": ["-c", RUN, "cs-grad-check", "{t3_7}"],
 }
 SCALING = ["t3(5)", "t3(6)", "t3(7)", "s1xs2xs2"]
 SOLVE = ["t3", "rp3", "t3(5)", "t3(6)"]
@@ -145,6 +146,8 @@ def _write_inputs(root):
         paths[f"{name}_int2"] = root / f"{name}.int2.json"
         paths[f"{name}_int2"].write_text(cs.dump_cochain(
             cs.Cochain(2, "int", np.asarray(vals, dtype=object))))
+    paths["t3_7"] = root / "t3(7).json"
+    paths["t3_7"].write_text(cs.dump_complex(cs.generate("t3(7)")))
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -14,12 +14,14 @@ reads class coordinates by Poincare duality, without the class map.
 min_norm_solution is the exact minimum-norm least-squares solution, by
 rational row reduction and a Fraction solve, the reference for the
 package's factored solve.
-coboundary_csr, sparse and whole are the exceptions: coboundary_csr
-puts the package's own d_k triplets into a scipy CSR matrix, for tests
-that read d_k as a matrix; sparse puts a test's matrix into the
-package's SparseMatrix, the one input smith_normal_form takes; and
-whole reads a whole U, S, V or v_inv out of an SNFResult's records,
-which the package never forms, for comparison with dense_smith.
+coboundary_csr, sparse, whole and cs_gradient_fd are the exceptions:
+coboundary_csr puts the package's own d_k triplets into a scipy CSR
+matrix, for tests that read d_k as a matrix; sparse puts a test's
+matrix into the package's SparseMatrix, the one input smith_normal_form
+takes; whole reads a whole U, S, V or v_inv out of an SNFResult's
+records, which the package never forms, for comparison with
+dense_smith; and cs_gradient_fd differentiates the package's own
+cs_action, one edge at a time, for comparison with its exact gradient.
 """
 
 import bisect
@@ -30,8 +32,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from csobstruct import fundamental_cycle, integral_generators
-from csobstruct.complex_core import Cochain, SparseMatrix
+from csobstruct import (Connection, cs_action, fundamental_cycle,
+                        integral_generators)
+from csobstruct.complex_core import Cochain, REAL, SparseMatrix
 
 
 def coboundary_csr(complex_, k):
@@ -89,6 +92,20 @@ def cs_quadratic_matrix(complex_):
                         complex_.simplices[3]):
         C[pos1[tau[:2]]] += float(eps) * d1[pos2[tau[1:]]]
     return C
+
+
+def cs_gradient_fd(complex_, a, step=1e-6):
+    """Central finite-difference gradient of cs_action (oracle path)."""
+    vals = a.values.astype(float).copy()
+    out = np.zeros_like(vals)
+    for i in range(len(vals)):
+        vals[i] += step
+        plus = cs_action(complex_, Connection(vals))
+        vals[i] -= 2 * step
+        minus = cs_action(complex_, Connection(vals))
+        vals[i] += step
+        out[i] = (plus - minus) / (2 * step)
+    return Cochain(1, REAL, out)
 
 
 def exact_rank(rows):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import csobstruct as cs
-from csobstruct import cech, homology, obstruction
+from csobstruct import bundle, cech, homology, obstruction
 from csobstruct.cli import run
 from csobstruct.complex_core import Cochain, dump_cochain, dump_complex
 from conftest import random_int_cochain
+from oracles import cs_quadratic_matrix
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +469,67 @@ class TestDeterminism:
     def test_cs_grad_check_small_error(self, capsys, paths):
         r = report(capsys, ["cs-grad-check", paths["s3"]])
         assert r["max_relative_error"] < 1e-6
+
+
+class TestCsGradCheck:
+    """Each of the 5 samples compares grad(a).u with one central
+    difference of cs_action along u, so a wrong gradient shows."""
+
+    def test_two_actions_per_sample_after_the_gradient(self, capsys, paths,
+                                                       monkeypatch):
+        calls = []
+
+        def logged(name):
+            f = getattr(bundle, name)
+
+            def call(*args):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(bundle, name, call)
+
+        logged("cs_gradient")
+        logged("cs_action")
+        r = report(capsys, ["cs-grad-check", paths["s3"]])
+        assert r["samples"] == 5 and r["max_relative_error"] < 1e-6
+        assert calls == ["cs_gradient", "cs_action", "cs_action"] * 5
+
+    @pytest.mark.parametrize("name", ["s3", "s1xs2", "t3", "rp3"])
+    def test_dropped_coboundary_term_is_caught(self, capsys, paths,
+                                               monkeypatch, request, name):
+        """C A alone, with C the dense oracle matrix: the gradient without
+        its d_1^T term, which is C^T A."""
+        C = cs_quadratic_matrix(request.getfixturevalue(name))
+        monkeypatch.setattr(bundle, "cs_gradient", lambda K, a: Cochain(
+            1, "real", C @ a.values))
+        r = report(capsys, ["cs-grad-check", paths[name]])
+        assert r["max_relative_error"] > 1e-6
+
+    def test_one_wrong_entry_is_caught(self, capsys, paths, monkeypatch,
+                                       s3):
+        """The true gradient off by 1e-4 max|grad| in one entry, on each
+        edge of s3 in turn."""
+        gradient = bundle.cs_gradient
+        for edge in range(s3.n_simplices(1)):
+            def off(K, a, edge=edge):
+                g = gradient(K, a).values.copy()
+                g[edge] += 1e-4 * np.abs(g).max()
+                return Cochain(1, "real", g)
+
+            monkeypatch.setattr(bundle, "cs_gradient", off)
+            r = report(capsys, ["cs-grad-check", paths["s3"]])
+            assert r["max_relative_error"] > 1e-6, edge
+
+    @pytest.mark.parametrize("doc, code, message", [
+        ("sphere2", "DEGREE_OUT_OF_RANGE", "CS gradient needs a 3-complex"),
+        ({"top_simplices": [[0, 1, 2, 3]]}, "NOT_CLOSED",
+         "no sign choice makes the top sum a cycle"),
+    ], ids=["sphere2", "tetrahedron"])
+    def test_rejects_with_code(self, capsys, tmp_path, doc, code, message):
+        p = tmp_path / "complex.json"
+        p.write_text(dump_complex(cs.generate(doc)) if isinstance(doc, str)
+                     else json.dumps(doc))
+        err = report(capsys, ["cs-grad-check", str(p)], expect=1)
+        assert code in err and message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,6 +285,22 @@ def test_triple_cup_on_t3_is_exact_in_ints(t3):
     assert type(val) is int and val == -1
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object],
+                         ids=["int64", "object-of-int64"])
+def test_int64_pairing_past_the_int64_range_is_exact(t3, dtype):
+    """An INT top cochain given as an int64 array, or as an object array
+    of numpy int64 scalars: entry i is 2^62 - i times the fundamental
+    cycle's sign, so each product is 2^62 - i and their sum, about
+    162 * 2^62, is far past the int64 range.  The pairing is that sum
+    exactly, as a Python int."""
+    eps = [int(e) for e in cs.fundamental_cycle(t3).values]
+    vals = np.array([np.int64(e * (2 ** 62 - i)) for i, e in enumerate(eps)],
+                    dtype=dtype)
+    val = cs.pair_with_fundamental(t3, Cochain(3, "int", vals))
+    assert type(val) is int
+    assert val == sum(2 ** 62 - i for i in range(len(eps))) > 2 ** 63
+
+
 def test_int_pairing_equals_real_pairing(t3, s1xs2):
     """Every pairing of an integral H^1 and H^2 generator is a Python int
     on the INT path and the same value on the REAL path."""
