@@ -101,7 +101,7 @@ def gauge_transform(bundle, a, f, m):
     if m.degree != 1 or m.ring != INT:
         raise Error("M_NOT_COCYCLE", "m must be an integer 1-cochain")
     require_closed(base, m, "M_NOT_COCYCLE")
-    df = apply_d(base, f).values
+    df = apply_d(base, f).as_float()
     return Connection(a.values + df + 2.0 * np.pi * m.as_float())
 
 

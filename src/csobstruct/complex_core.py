@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,7 +181,15 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Degree-k cochain; values aligned with the canonical k-simplex order."""
+    """Degree-k cochain; values aligned with the canonical k-simplex order.
+
+    The constructor fixes the value form of each ring, so readers use the
+    values as they are: an INT cochain holds a 1-D object array of Python
+    ints (each value passes through operator.index, so numpy integer
+    scalars convert exactly and cannot wrap), and a non-integer value
+    raises PARSE_ERROR; a REAL cochain holds float64 (a float64 array is
+    kept, not copied).
+    """
 
     degree: int
     ring: str
@@ -189,6 +198,14 @@ class Cochain:
     def __post_init__(self):
         if self.ring not in (INT, REAL):
             raise Error("BAD_RING", f"ring must be int or real, got {self.ring}")
+        if self.ring == REAL:
+            values = np.asarray(self.values, dtype=float)
+        else:
+            try:
+                values = np.fromiter(map(operator.index, self.values), object)
+            except TypeError:
+                raise Error("PARSE_ERROR", "int cochain values must be integers")
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def make(degree, ring, values):
@@ -203,17 +220,14 @@ class Cochain:
         if ring == INT:
             if not all(map(_is_int, values)):
                 raise Error("PARSE_ERROR", "int cochain values must be integers")
-            arr = np.array([int(v) for v in values], dtype=object)
+            arr = [int(v) for v in values]
         elif not np.all(np.isfinite(arr)):
             raise Error("PARSE_ERROR", "real cochain values must be finite")
         return Cochain(degree, ring, arr)
 
     @staticmethod
     def zeros(complex_, degree, ring=REAL):
-        n = complex_.n_simplices(degree)
-        if ring == INT:
-            return Cochain(degree, INT, np.array([0] * n, dtype=object))
-        return Cochain(degree, REAL, np.zeros(n))
+        return Cochain(degree, ring, [0] * complex_.n_simplices(degree))
 
     def as_float(self):
         """A new float array of the values, each converted as float(v)."""
@@ -241,15 +255,12 @@ def apply_d(complex_, cochain):
         raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
     _check_length(complex_, cochain)
     d = complex_._d_triplets(k)
+    # an INT cochain's object array keeps the products in Python ints
+    terms = d.vals * cochain.values[d.cols]
     if cochain.ring == REAL:
-        out = np.bincount(d.rows, d.vals * cochain.values[d.cols],
-                          complex_.n_simplices(k + 1))
-        return Cochain(k + 1, REAL, out)
+        return Cochain(k + 1, REAL, np.bincount(d.rows, terms, d.shape[0]))
     # row i of d_k holds the k + 2 faces of (k+1)-simplex i, so its
-    # products are k + 2 consecutive triplets; object arrays keep the
-    # products and sums in Python ints
-    terms = d.vals.astype(object) * np.asarray(cochain.values,
-                                               dtype=object)[d.cols]
+    # products are k + 2 consecutive triplets, summed in Python ints
     return Cochain(k + 1, INT, terms.reshape(-1, k + 2).sum(axis=1))
 
 
@@ -366,7 +377,6 @@ def load_cochain(text):
 
 
 def dump_cochain(cochain):
-    vals = [int(v) for v in cochain.values] if cochain.ring == INT \
-        else [float(v) for v in cochain.values]
     return json.dumps({"degree": cochain.degree, "ring": cochain.ring,
-                       "values": vals}, sort_keys=True, indent=2)
+                       "values": cochain.values.tolist()},
+                      sort_keys=True, indent=2)

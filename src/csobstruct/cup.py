@@ -23,7 +23,8 @@ def cup(complex_, alpha, beta):
     """Alexander-Whitney product: (a u b)(v0..vk+l) = a(front) * b(back).
 
     One gather per factor through the memoized face index arrays; the
-    products are elementwise, in Python ints when both factors are INT.
+    products are elementwise, in Python ints when both factors are INT
+    and in floats otherwise.
     """
     k, l = alpha.degree, beta.degree
     if k < 0 or l < 0:
@@ -34,13 +35,8 @@ def cup(complex_, alpha, beta):
     _check_length(complex_, alpha)
     _check_length(complex_, beta)
     front, back = _cup_faces(complex_, k, l)
-    if alpha.ring == INT and beta.ring == INT:
-        a = np.asarray(alpha.values, dtype=object)
-        b = np.asarray(beta.values, dtype=object)
-        return Cochain(k + l, INT, a[front] * b[back])
-    a = np.asarray(alpha.values, dtype=float)
-    b = np.asarray(beta.values, dtype=float)
-    return Cochain(k + l, REAL, a[front] * b[back])
+    ring = INT if alpha.ring == beta.ring == INT else REAL
+    return Cochain(k + l, ring, alpha.values[front] * beta.values[back])
 
 
 def _cup_faces(complex_, k, l):
@@ -56,18 +52,15 @@ def _cup_faces(complex_, k, l):
 
 
 def pair_with_fundamental(complex_, omega):
-    """Evaluate a top cochain against the fundamental cycle.
-
-    An INT cochain is summed in Python ints, each value taken as int(v),
-    so numpy integer scalars in an object array cannot wrap.
-    """
+    """Evaluate a top cochain against the fundamental cycle; an INT
+    cochain is summed in Python ints."""
     if omega.degree != complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE",
                     f"pairing needs degree {complex_.dim}, got {omega.degree}")
     _check_length(complex_, omega)
     if omega.ring == INT:
         return sum(map(operator.mul, fundamental_cycle(
-            complex_).values.tolist(), map(int, omega.values.tolist())))
+            complex_).values.tolist(), omega.values.tolist()))
     return float(_fundamental_signs(complex_) @ omega.values)
 
 
@@ -99,12 +92,13 @@ def poincare_pairing_matrix(complex_, k):
     complex without one gets NOT_CLOSED or NON_ORIENTABLE.
     """
     n = complex_.dim
-    gk = integral_generators(complex_, k)[0]        # checks the degree
-    fundamental_cycle(complex_)
-    gnk = integral_generators(complex_, n - k)[0]
-    P = np.array([[pair_with_fundamental(complex_, cup(
-        complex_, Cochain(k, INT, wi), Cochain(n - k, INT, wj)))
-        for wj in gnk] for wi in gk], dtype=object).reshape(len(gk), len(gnk))
+    gk = [Cochain(k, INT, w) for w in integral_generators(complex_, k)[0]]
+    fundamental_cycle(complex_)     # integral_generators checked the degree
+    gnk = [Cochain(n - k, INT, w)
+           for w in integral_generators(complex_, n - k)[0]]
+    P = np.array([[pair_with_fundamental(complex_, cup(complex_, a, b))
+                   for b in gnk] for a in gk],
+                 dtype=object).reshape(len(gk), len(gnk))
     ij = np.nonzero(P)
     nondeg = len(gk) == len(gnk) and smith_normal_form(SparseMatrix(
         P.shape, *ij, P[ij])).rank == len(gk)

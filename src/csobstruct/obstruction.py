@@ -96,7 +96,7 @@ def sharpness_check(complex_, bundle, tol=PAIRING_TOL):
             "VERDICT_INCONSISTENT",
             f"flat={flat.flat} but max |pairing|={max_pairing:.3e}")
     digest = hashlib.sha256(
-        ",".join(str(int(v)) for v in bundle.chern_cocycle.values)
+        ",".join(str(v) for v in bundle.chern_cocycle.values)
         .encode()).hexdigest()[:12]
     return SharpnessVerdict(digest, flat.flat, witness, pairings,
                             flat.residual)

@@ -46,8 +46,10 @@ def random_real_cochain(rng, complex_, k):
 
 
 def random_int_cochain(rng, complex_, k, lo=-3, hi=4):
-    vals = rng.integers(lo, hi, size=complex_.n_simplices(k))
-    return Cochain(k, "int", np.array([int(v) for v in vals], dtype=object))
+    """The int64 draw goes to Cochain as it is, whose constructor makes
+    the values Python ints."""
+    return Cochain(k, "int",
+                   rng.integers(lo, hi, size=complex_.n_simplices(k)))
 
 
 def random_closed_cochain(rng, complex_, k):

@@ -157,6 +157,19 @@ class TestGauge:
         expect[0] = 2 * np.pi
         assert np.abs(shift - expect).max() < 1e-9
 
+    def test_int_gauge_equals_real_gauge(self, t3):
+        """An INT gauge 0-cochain f and the same f as REAL give the same
+        float64 connection, and cs_action runs on both."""
+        rng = np.random.default_rng(11)
+        a = cs.Connection(rng.standard_normal(t3.n_simplices(1)))
+        m = Cochain(1, "int", cs.integral_generators(t3, 1)[0][0])
+        f = random_int_cochain(rng, t3, 0)
+        a_int, a_real = (cs.gauge_transform(trivial(t3), a, g, m) for g in
+                         (f, Cochain(0, "real", f.as_float())))
+        assert a_int.values.dtype == a_real.values.dtype == np.float64
+        assert (a_int.values == a_real.values).all()
+        assert cs.cs_action(t3, a_int) == cs.cs_action(t3, a_real)
+
     def test_non_cocycle_m_rejected(self, t3):
         rng = np.random.default_rng(6)
         while True:

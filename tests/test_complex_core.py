@@ -10,8 +10,9 @@ import pytest
 
 import csobstruct as cs
 from csobstruct.complex_core import (Cochain, SimplicialComplex, apply_d,
-                                     dump_complex, fundamental_cycle,
-                                     load_cochain, load_complex)
+                                     dump_cochain, dump_complex,
+                                     fundamental_cycle, load_cochain,
+                                     load_complex)
 from csobstruct.cup import _cup_faces, _fundamental_signs
 from csobstruct.errors import Error
 from oracles import coboundary_csr, local_coboundary, star_cover
@@ -149,6 +150,63 @@ class TestApplyD:
                 assert got.dtype == object and got.shape == want.shape
                 assert all(type(x) is int for x in got)
                 assert (got == want).all()
+
+
+class TestValueForm:
+    """The constructor fixes each ring's value form: INT values are a 1-D
+    object array of Python ints, REAL values are float64."""
+
+    def test_int_values_are_python_ints(self):
+        for given in ([3, -2 ** 70, 0], np.array([3, -5, 0]),
+                      np.array([np.int64(3), np.int64(-5)], dtype=object)):
+            c = Cochain(0, "int", given)
+            assert c.values.dtype == object and c.values.ndim == 1
+            assert all(type(v) is int for v in c.values)
+            assert c.values.tolist() == [int(v) for v in given]
+
+    def test_real_values_are_float64(self, sphere2):
+        arr = np.arange(4.0)
+        assert Cochain(0, "real", arr).values is arr
+        for given in ([0, 1, 5, -2], np.array([0, 1, 5, -2])):
+            f = Cochain(0, "real", given)
+            assert f.values.dtype == np.float64
+            assert f.values.tolist() == [0.0, 1.0, 5.0, -2.0]
+            df = apply_d(sphere2, f)
+            assert df.values.dtype == np.float64
+            want = coboundary_csr(sphere2, 0) @ np.array(given, float)
+            assert (df.values == want).all()
+            fdf = cs.cup(sphere2, f, df)
+            assert fdf.ring == "real" and fdf.values.dtype == np.float64
+
+    def test_non_integer_int_values_are_parse_errors(self):
+        for given in ([0, 1.5, 0, 0], [0, 2.0, 0, 0], np.array([0.0, 2.0]),
+                      [[0, 1], [2, 3]]):
+            with pytest.raises(Error) as e:
+                Cochain(0, "int", given)
+            assert (e.value.code, e.value.message) == \
+                ("PARSE_ERROR", "int cochain values must be integers")
+
+    def test_integral_float_in_a_file_loads_as_an_int(self):
+        c = load_cochain(json.dumps(
+            {"degree": 0, "ring": "int", "values": [2.0, -1, 3]}))
+        assert c.values.tolist() == [2, -1, 3]
+        assert all(type(v) is int for v in c.values)
+
+    def test_dump_cochain_form(self):
+        """dump_cochain writes what json.dumps writes for explicit
+        int(v) or float(v) lists, and load_cochain reads it back."""
+        for c, conv in ((Cochain(1, "int", [10 ** 30, -4, 0]), int),
+                        (Cochain(1, "int", np.array([7, -2 ** 62])), int),
+                        (Cochain(1, "real", [0.1, -2.5, 3]), float)):
+            text = dump_cochain(c)
+            assert text == json.dumps(
+                {"degree": 1, "ring": c.ring,
+                 "values": [conv(v) for v in c.values]},
+                sort_keys=True, indent=2)
+            back = load_cochain(text)
+            assert back.ring == c.ring and back.values.tolist() == \
+                c.values.tolist()
+            assert back.values.dtype == c.values.dtype
 
 
 class TestSummationOrder:

@@ -301,6 +301,19 @@ def test_int64_pairing_past_the_int64_range_is_exact(t3, dtype):
     assert val == sum(2 ** 62 - i for i in range(len(eps))) > 2 ** 63
 
 
+def test_int_cup_of_int64_scalars_is_exact(t3):
+    """INT factors given as object arrays of numpy int64 scalars, t3's
+    integral H^1 generators times 2^40: the cup is Python ints equal to
+    the exact products, 2^80 in size, where int64 products wrap to 0."""
+    a, b = (Cochain(1, "int", np.array([np.int64(v * 2 ** 40) for v in g],
+                                        dtype=object))
+            for g in cs.integral_generators(t3, 1)[0][:2])
+    out = cs.cup(t3, a, b)
+    assert all(type(x) is int for x in out.values)
+    assert (out.values == cup_reference(t3, a, b)).all()
+    assert max(abs(x) for x in out.values) == 2 ** 80
+
+
 def test_int_pairing_equals_real_pairing(t3, s1xs2):
     """Every pairing of an integral H^1 and H^2 generator is a Python int
     on the INT path and the same value on the REAL path."""
