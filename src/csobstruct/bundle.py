@@ -9,7 +9,7 @@ exact linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +23,25 @@ FLAT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class U1Bundle:
-    """Principal U(1) bundle: base complex plus integer Chern 2-cocycle."""
+    """Principal U(1) bundle: base complex plus integer Chern 2-cocycle.
+
+    The bundle fixes the float forms of its cocycle once, at construction:
+    two_pi_c = 2*pi*c, and real_class, the coordinates of 2*pi*[c] in the
+    real H^2 basis.  Every reader (curvature, flatten, real_chern_class)
+    uses them as they are.
+    """
 
     base: object
     chern_cocycle: Cochain
+    two_pi_c: np.ndarray = field(init=False, repr=False)
+    real_class: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cf = self.chern_cocycle.as_float()
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "two_pi_c", 2.0 * np.pi * cf)
+            object.__setattr__(self, "real_class", 2.0 * np.pi * basis(
+                self.base, 2).coordinates(cf))
 
 
 @dataclass(frozen=True)
@@ -34,6 +49,10 @@ class Connection:
     """Real 1-cochain section of the discrete bundle of connections."""
 
     values: np.ndarray
+
+    def __post_init__(self):
+        # float64 once, as a REAL Cochain holds it; a float64 array is kept
+        object.__setattr__(self, "values", np.asarray(self.values, float))
 
     def as_cochain(self):
         return Cochain(1, REAL, self.values)
@@ -55,25 +74,21 @@ def make_bundle(complex_, c):
         raise Error("NOT_A_COCYCLE", "Chern cocycle must be an integer 2-cochain")
     _check_length(complex_, c)
     require_closed(complex_, c, "NOT_A_COCYCLE")
-    bundle = U1Bundle(complex_, c)
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(2.0 * np.pi * c.as_float()).all() and \
-            np.isfinite(real_chern_class(bundle)).all()
-    if not finite:
+    b = U1Bundle(complex_, c)
+    if not np.isfinite(np.concatenate((b.two_pi_c, b.real_class))).all():
         raise Error("PARSE_ERROR", "Chern cocycle exceeds the float range")
-    return bundle
+    return b
 
 
 def curvature(bundle, a):
     """F = dA + 2*pi*c; Bianchi dF = 0 holds automatically."""
     da = apply_d(bundle.base, a.as_cochain()).values
-    return Cochain(2, REAL, da + 2.0 * np.pi * bundle.chern_cocycle.as_float())
+    return Cochain(2, REAL, da + bundle.two_pi_c)
 
 
 def real_chern_class(bundle):
     """Coordinates of [F] = 2*pi*[c] in the real H^2 basis (any A)."""
-    return 2.0 * np.pi * basis(bundle.base, 2).coordinates(
-        bundle.chern_cocycle.as_float())
+    return bundle.real_class.copy()
 
 
 def flatten(bundle):
@@ -83,10 +98,9 @@ def flatten(bundle):
     Chern class does; both are reported so the equivalence can be
     cross-checked.
     """
-    c = bundle.chern_cocycle.as_float()
-    a_star, f = _least_squares(bundle.base, 2, -2.0 * np.pi * c)
+    a_star, f = _least_squares(bundle.base, 2, -bundle.two_pi_c)
     residual = float(np.max(np.abs(f))) if f.size else 0.0
-    scale = 2.0 * np.pi * float(np.max(np.abs(c))) if c.size else 0.0
+    scale = float(np.max(np.abs(bundle.two_pi_c), initial=0.0))
     tol = FLAT_RTOL * (1.0 + scale)
     return FlatResult(Connection(a_star), residual, residual <= tol,
                       real_chern_class(bundle), tol)

@@ -250,18 +250,28 @@ def _check_length(complex_, cochain):
 
 def apply_d(complex_, cochain):
     """Coboundary of a cochain; exact for integer coefficients."""
+    return Cochain(cochain.degree + 1, cochain.ring,
+                   _d_values(complex_, cochain))
+
+
+def _d_values(complex_, cochain):
+    """d v as an array: float64 for a REAL cochain, Python ints in an
+    object array for an INT one."""
     k = cochain.degree
     if not 0 <= k < complex_.dim:
         raise Error("DEGREE_OUT_OF_RANGE", f"degree {k}, dim {complex_.dim}")
     _check_length(complex_, cochain)
     d = complex_._d_triplets(k)
-    # an INT cochain's object array keeps the products in Python ints
-    terms = d.vals * cochain.values[d.cols]
     if cochain.ring == REAL:
-        return Cochain(k + 1, REAL, np.bincount(d.rows, terms, d.shape[0]))
-    # row i of d_k holds the k + 2 faces of (k+1)-simplex i, so its
-    # products are k + 2 consecutive triplets, summed in Python ints
-    return Cochain(k + 1, INT, terms.reshape(-1, k + 2).sum(axis=1))
+        return np.bincount(d.rows, d.vals * cochain.values[d.cols], d.shape[0])
+    # row i of d_k holds the k + 2 faces of (k+1)-simplex i in one drop
+    # order, so every row carries the sign tile d.vals[:k+2] and d v is
+    # k + 2 signed column sums of the gathered faces, in Python ints
+    faces = cochain.values[d.cols].reshape(-1, k + 2).T
+    dv = 0
+    for s, column in zip(d.vals[:k + 2].tolist(), faces):
+        dv = dv + column if s > 0 else dv - column
+    return dv
 
 
 # -- fundamental cycle -------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import Cochain, INT, REAL, _check_length, apply_d
+from .complex_core import Cochain, INT, REAL, _check_length, _d_values
 from .errors import Error
 from .snf import _add, _dense, _sparse, _units, smith_normal_form
 
@@ -205,9 +205,9 @@ def require_closed(complex_, cochain, code="NOT_CLOSED"):
         _check_length(complex_, cochain)
     if cochain.degree >= complex_.dim:
         return  # top degree: closed by convention
-    dv = apply_d(complex_, cochain).values
+    dv = _d_values(complex_, cochain)
     if cochain.ring == INT:
-        if any(v != 0 for v in dv):
+        if any(dv.tolist()):
             raise Error(code, "coboundary is not zero over Z")
         return
     limit = _closedness_tol(cochain.values)

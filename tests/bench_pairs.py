@@ -4,6 +4,7 @@
     python3 tests/bench_pairs.py perfbench P C --pairs 10 --out B.json
     python3 tests/bench_pairs.py scaling P C --pairs 5 --out B.json
     python3 tests/bench_pairs.py solve P C --pairs 5 --out B.json
+    python3 tests/bench_pairs.py bundle P C --pairs 10 --out B.json
 
 P (the parent) and C (the change) are the roots of two checkouts; give
 them paths of equal length.  In each pair both sides run once, the parent
@@ -50,6 +51,19 @@ fixed-seed normal y, so it is exact.  The child times the first solve
 on the new complex (which builds whatever the solve memoizes) and a
 repeated one, and prints its peak RSS (ru_maxrss), how much the first
 solve raised it, and max |d x - b| of the repeated solve.
+
+bundle: the library calls of one warm-bundles op of perfbench
+(make_bundle, flatten, real_chern_class, sharpness_check and
+obstruction_class) on t3 and rp3, one fresh process per case that
+imports the package from the side's src/, with the BLAS pool pinned to
+one thread.  The child fills the caches the op reads (the real bases of
+degrees 1 to 3 and one whole op), then times each call on its own, 300
+times, and records the median in microseconds.  The Chern cocycle is the
+sum of the free H^2 generators on t3 (not flat) and the torsion
+generator on rp3 (flat); gamma is the witness, or an exact 1-cochain when
+there is none.  In the first op the child counts the as_float calls on
+the Chern cocycle, and it prints a sha256 of the op's outputs; main
+stops with an error when the two sides' digests differ.
 
 Results merge into --out under the mode's name: every run, and per
 metric the medians, the parent's quartiles, and in how many pairs the
@@ -107,6 +121,57 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"first_ms": 1e3 * (t1 - t0), "repeat_ms": 1e3 * (t2 - t1),
                   "peak_rss_mb": peak, "first_rss_increment_mb": peak - before,
                   "max_residual": float(np.max(np.abs(residual)))}))
+"""
+BUNDLE = ["t3", "rp3"]
+BUNDLE_RUN = """
+import hashlib, json, statistics, sys, time
+import numpy as np
+import csobstruct as cs
+from csobstruct import bundle, obstruction
+K = cs.generate(sys.argv[1])
+for k in (1, 2, 3):
+    cs.basis(K, k)
+free, torsion = cs.integral_generators(K, 2)
+c = cs.Cochain(2, "int", sum(free) if free else torsion[0][1])
+gamma = cs.apply_d(K, cs.Cochain(0, "real", np.random.default_rng(0)
+                                 .standard_normal(K.n_simplices(0))))
+as_float, calls = cs.Cochain.as_float, []
+
+def spy(self):
+    calls.append(self is c)
+    return as_float(self)
+
+cs.Cochain.as_float = spy
+b = bundle.make_bundle(K, c)
+flat = bundle.flatten(b)
+chern = bundle.real_chern_class(b)
+verdict = obstruction.sharpness_check(K, b)
+sym = obstruction.VerticalSymmetry(
+    gamma if verdict.witness is None else verdict.witness[0])
+cls = obstruction.obstruction_class(K, sym, b, flat.connection)
+cs.Cochain.as_float = as_float
+out = {"as_float_calls": calls.count(True)}
+steps = {
+    "make_bundle": lambda: bundle.make_bundle(K, c),
+    "flatten": lambda: bundle.flatten(b),
+    "real_chern_class": lambda: bundle.real_chern_class(b),
+    "sharpness_check": lambda: obstruction.sharpness_check(K, b),
+    "obstruction_class": lambda: obstruction.obstruction_class(
+        K, sym, b, flat.connection)}
+for name, call in steps.items():
+    times = []
+    for _ in range(300):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    out[f"{name}_us"] = 1e6 * statistics.median(times)
+parts = [flat.connection.values, np.array([flat.residual, flat.tolerance]),
+         flat.obstruction_coords, chern, verdict.all_pairings, cls]
+text = repr((flat.flat, verdict.flat_exists, verdict.bundle_id,
+             verdict.witness and verdict.witness[1]))
+out["digest"] = hashlib.sha256(b"".join(
+    [p.tobytes() for p in parts] + [text.encode()])).hexdigest()
+print(json.dumps(out))
 """
 WARM = ("import csobstruct.cli, gc, json, resource, shutil, statistics, "
         "traceback, layertrace, workloads")
@@ -231,7 +296,8 @@ def _summary(pairs, better):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("mode",
-                        choices=("fresh", "perfbench", "scaling", "solve"))
+                        choices=("fresh", "perfbench", "scaling", "solve",
+                                 "bundle"))
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--pairs", type=int, default=9)
@@ -257,12 +323,15 @@ def main():
                     elif args.mode == "scaling":
                         pair[side] = _child_run(root, env, SCALING_RUN,
                                                 SCALING)
-                    elif args.mode == "solve":
+                    elif args.mode in ("solve", "bundle"):
+                        script, cases = (SOLVE_RUN, SOLVE) if args.mode == \
+                            "solve" else (BUNDLE_RUN, BUNDLE)
                         pair[side] = _child_run(root, dict(env, **ONE_THREAD),
-                                                SOLVE_RUN, SOLVE)
+                                                script, cases)
                     else:
                         pair[side] = _perfbench_run(root, env, i)
-            moved = [case for case in SCALING if args.mode == "scaling" and
+            checked = {"scaling": SCALING, "bundle": BUNDLE}
+            moved = [case for case in checked.get(args.mode, []) if
                      pair["parent"][f"{case}.digest"] !=
                      pair["change"][f"{case}.digest"]]
             if moved:

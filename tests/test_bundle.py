@@ -51,6 +51,51 @@ class TestMakeBundle:
             cs.make_bundle(t3, c)
         assert e.value.code == "NOT_A_COCYCLE"
 
+    def test_float_forms_are_fixed_at_construction(self, fixtures3d):
+        """two_pi_c and real_class are 2*pi*c and 2*pi times c's
+        coordinates in the real H^2 basis, bit for bit, and flatten's
+        tolerance scale is 2*pi*max|c|."""
+        rng = np.random.default_rng(12)
+        for K in fixtures3d.values():
+            c = random_int_cocycle(rng, K)
+            b = cs.make_bundle(K, c)
+            cf = c.as_float()
+            assert b.two_pi_c.tobytes() == (2.0 * np.pi * cf).tobytes()
+            assert b.real_class.tobytes() == (2.0 * np.pi * cs.basis(
+                K, 2).coordinates(cf)).tobytes()
+            assert cs.flatten(b).tolerance == cs.bundle.FLAT_RTOL * (
+                1.0 + 2.0 * np.pi * float(np.max(np.abs(cf))))
+
+    def test_chern_cocycle_converted_once(self, monkeypatch, t3):
+        """One warm-bundles op (make_bundle, flatten, real_chern_class,
+        sharpness_check, obstruction_class) reads the Chern cocycle's
+        float form once, at construction."""
+        c = random_int_cocycle(np.random.default_rng(13), t3)
+        calls = []
+        as_float = Cochain.as_float
+
+        def spy(self):
+            calls.append(self is c)
+            return as_float(self)
+
+        monkeypatch.setattr(Cochain, "as_float", spy)
+        b = cs.make_bundle(t3, c)
+        flat = cs.flatten(b)
+        cs.real_chern_class(b)
+        verdict = cs.sharpness_check(t3, b)
+        gamma = cs.basis(t3, 1).representative_cochains()[0] \
+            if verdict.witness is None else verdict.witness[0]
+        cs.obstruction_class(t3, cs.VerticalSymmetry(gamma), b,
+                             flat.connection)
+        assert calls.count(True) == 1
+
+    def test_real_chern_class_is_a_copy(self, t3):
+        b = cs.make_bundle(t3, random_int_cocycle(np.random.default_rng(14),
+                                                  t3))
+        coords = cs.real_chern_class(b)
+        coords[:] = 0.0
+        assert cs.real_chern_class(b).tobytes() == b.real_class.tobytes()
+
 
 class TestCurvature:
     def test_trivial_flat(self, t3):
@@ -230,6 +275,19 @@ class TestChernSimons:
                 assert np.abs(grad - (C + C.T) @ a).max() <= 1e-12
                 assert abs(a @ C @ a - cs.cs_action(K, cs.Connection(a))) \
                     <= 1e-12 * max(1.0, abs(a @ C @ a))
+
+    def test_list_connection_equals_array(self, s3, t3):
+        """A Connection holds float64 values, so a list and an array of
+        the same numbers give equal gradients and actions."""
+        rng = np.random.default_rng(15)
+        for K in (s3, t3):
+            a = rng.standard_normal(K.n_simplices(1))
+            listed, array = cs.Connection(a.tolist()), cs.Connection(a)
+            assert listed.values.dtype == np.float64
+            assert cs.Connection(a).values is a
+            assert (cs.cs_gradient(K, listed).values ==
+                    cs.cs_gradient(K, array).values).all()
+            assert cs.cs_action(K, listed) == cs.cs_action(K, array)
 
     @pytest.mark.parametrize("n", [0, 3, 11])
     def test_gradient_wrong_length_is_base_mismatch(self, s3, n):

@@ -136,6 +136,20 @@ class TestMalformedComplex:
                      expect=1)
         assert code in err
 
+    def test_flipped_orientation_sign_reaches_the_check(self, capsys,
+                                                        tmp_path, t3):
+        """t3 with one stored sign flipped is a valid list of +-1 but no
+        fundamental cycle: pairing --degree 1 builds the cycle and exits
+        1 with BAD_ORIENTATION, where the stored signs pass."""
+        doc = json.loads(dump_complex(t3))
+        p = tmp_path / "t3.json"
+        p.write_text(json.dumps(doc))
+        report(capsys, ["pairing", str(p), "--degree", "1"])
+        doc["orientation"][5] *= -1
+        p.write_text(json.dumps(doc))
+        err = report(capsys, ["pairing", str(p), "--degree", "1"], expect=1)
+        assert "BAD_ORIENTATION" in err
+
 
 def _cochain_doc(value, degree="2", ring='"real"'):
     """Cochain document for s3's 10 triangles, every value the same."""

@@ -151,6 +151,21 @@ class TestApplyD:
                 assert all(type(x) is int for x in got)
                 assert (got == want).all()
 
+    def test_int_path_matches_local_coboundary(self, fixtures3d):
+        """d v of entries around 10**30, in every degree below the top,
+        equals the row sums of the simplex-list d_k times v in Python
+        ints: the signed column sums assume each row's sign tile, and
+        this oracle reads no triplet."""
+        rng = np.random.default_rng(19)
+        for K in fixtures3d.values():
+            for k in range(K.dim):
+                v = [10 ** 30 * int(x) + int(y) for x, y in zip(
+                    *rng.integers(-999, 1000, size=(2, K.n_simplices(k))))]
+                want = [sum(int(s) * v[j] for j, s in enumerate(row) if s)
+                        for row in local_coboundary(K, k)]
+                got = apply_d(K, Cochain(k, "int", v)).values.tolist()
+                assert got == want and all(type(x) is int for x in got)
+
 
 class TestValueForm:
     """The constructor fixes each ring's value form: INT values are a 1-D

@@ -199,6 +199,25 @@ def test_pairing_matrix_of_suspended_torus(k, shape, nondegenerate):
     assert p.nondegenerate is nondegenerate
 
 
+def test_pinched_torus_pairing_is_square_and_degenerate():
+    """A 3-layer cylinder over C_3 with both ends coned to vertex 0 is a
+    pinched torus: H^0 = H^1 = H^2 = Z, and the 1 x 1 degree-1 pairing is
+    zero, so a square matrix is degenerate."""
+    def v(j, i):
+        return 1 + 3 * j + i % 3
+    top = [sorted(t) for j in range(3) for i in range(3) for t in (
+        (v(j, i), v(j, i + 1), v(j + 1, i + 1)),
+        (v(j, i), v(j + 1, i), v(j + 1, i + 1)))]
+    top += [sorted((0, v(j, i), v(j, i + 1))) for j in (0, 3)
+            for i in range(3)]
+    K = cs.SimplicialComplex(top)
+    assert [str(cs.homology_groups(K, k, "int")) for k in range(3)] == \
+        ["Z^1", "Z^1", "Z^1"]
+    p = cs.poincare_pairing_matrix(K, 1)
+    assert p.matrix.tolist() == [[0.0]]
+    assert p.nondegenerate is False
+
+
 RP2 = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4), (1, 2, 3),
        (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
 

@@ -5,6 +5,7 @@ import csobstruct as cs
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from conftest import random_int_cocycle, random_real_cochain
+from oracles import cup_reference
 
 
 def trivial(K):
@@ -154,6 +155,31 @@ class TestSharpness:
             with pytest.raises(Error) as e:
                 cs.sharpness_check(K, trivial(K), tol=tol)
             assert e.value.code == "BAD_PARAMETER"
+
+    def test_each_pairing_belongs_to_its_gamma(self, t3):
+        """On t3 with c = g_0 + 2 g_1 + 3 g_2 over the free generators of
+        H^2, pairing i is 4 pi <gamma_i u c, [X]> for the i-th H^1
+        representative, and the witness is one gamma with its own value;
+        the three expected values differ, so a permuted list fails."""
+        free, _ = cs.integral_generators(t3, 2)
+        c = Cochain(2, "int", sum(m * g for m, g in zip((1, 2, 3), free)))
+        bundle = cs.make_bundle(t3, c)
+        eps = cs.fundamental_cycle(t3).values
+        gammas = cs.basis(t3, 1).representative_cochains()
+        want = [4 * np.pi * int(eps @ cup_reference(t3, Cochain(
+            1, "int", [int(x) for x in g.values]), c)) for g in gammas]
+        assert len(set(want)) == len(want) and 0 not in want
+        got_gammas, got = cs.h1_pairings(t3, bundle,
+                                         cs.flatten(bundle).connection)
+        assert [g.values.tolist() for g in got_gammas] == \
+            [g.values.tolist() for g in gammas]
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        v = cs.sharpness_check(t3, bundle)
+        assert not v.flat_exists
+        gamma, value = v.witness
+        i = [g.values.tolist() for g in gammas].index(gamma.values.tolist())
+        assert abs(value - want[i]) <= 1e-9 * abs(want[i])
+        assert abs(want[i]) == max(map(abs, want))
 
     def test_biconditional_randomized(self, t3, s1xs2):
         rng = np.random.default_rng(5)
