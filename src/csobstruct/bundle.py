@@ -10,6 +10,7 @@ exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,9 @@ class U1Bundle:
     The bundle fixes the float forms of its cocycle once, at construction:
     two_pi_c = 2*pi*c, and real_class, the coordinates of 2*pi*[c] in the
     real H^2 basis.  Every reader (curvature, flatten, real_chern_class)
-    uses them as they are.
+    uses them as they are.  The least-squares solve of dA = -2*pi*c is
+    fixed on first flatten, so a bundle solves once however often it is
+    flattened or sharpness-checked.
     """
 
     base: object
@@ -42,6 +45,13 @@ class U1Bundle:
             object.__setattr__(self, "two_pi_c", 2.0 * np.pi * cf)
             object.__setattr__(self, "real_class", 2.0 * np.pi * basis(
                 self.base, 2).coordinates(cf))
+
+    @cached_property
+    def _flat_solve(self):
+        """(a_star, residual) of the least-squares dA = -2*pi*c; lazy,
+        so a bundle that is never flattened builds no eigenfactor."""
+        a_star, f = _least_squares(self.base, 2, -self.two_pi_c)
+        return a_star, float(np.max(np.abs(f))) if f.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,13 @@ def flatten(bundle):
 
     The residual vanishes (to solver accuracy) exactly when the real
     Chern class does; both are reported so the equivalence can be
-    cross-checked.
+    cross-checked.  The solve is the bundle's own, made on the first
+    call; each call returns a copy of its connection.
     """
-    a_star, f = _least_squares(bundle.base, 2, -bundle.two_pi_c)
-    residual = float(np.max(np.abs(f))) if f.size else 0.0
+    a_star, residual = bundle._flat_solve
     scale = float(np.max(np.abs(bundle.two_pi_c), initial=0.0))
     tol = FLAT_RTOL * (1.0 + scale)
-    return FlatResult(Connection(a_star), residual, residual <= tol,
+    return FlatResult(Connection(a_star.copy()), residual, residual <= tol,
                       real_chern_class(bundle), tol)
 
 

@@ -168,9 +168,10 @@ def _obstruction(args, complex_, cochain):
 
 
 def _sharpness(args, complex_, cochain):
-    verdict = obstruction_mod.sharpness_check(
-        complex_, _bundle(args, complex_, cochain), tol=args.tol)
-    report = {"bundle_id": verdict.bundle_id,
+    b = _bundle(args, complex_, cochain)
+    verdict = obstruction_mod.sharpness_check(complex_, b, tol=args.tol)
+    cocycle = ",".join(str(v) for v in b.chern_cocycle.values)
+    report = {"bundle_id": _digest(cocycle)[:12],
               "flat_exists": verdict.flat_exists,
               "residual": _round(verdict.residual),
               "all_pairings": _vec(verdict.all_pairings)}

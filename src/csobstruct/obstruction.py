@@ -9,14 +9,13 @@ biconditional and produces a dual witness in the non-flat case.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import curvature, flatten
 from .complex_core import Cochain, REAL
-from .cup import cup, pair_with_fundamental
+from .cup import cup, pair_with_fundamental, poincare_pairing_matrix
 from .errors import Error, InconsistencyError
 from .homology import basis, check_tol, require_closed
 
@@ -71,7 +70,6 @@ def h1_pairings(complex_, bundle, a):
 
 @dataclass(frozen=True)
 class SharpnessVerdict:
-    bundle_id: str
     flat_exists: bool
     witness: tuple | None          # (gamma cochain, pairing value)
     all_pairings: np.ndarray
@@ -80,7 +78,13 @@ class SharpnessVerdict:
 
 def sharpness_check(complex_, bundle, tol=PAIRING_TOL):
     """Theorem-2 verdict: flat connection exists iff every H^1-basis
-    pairing vanishes; otherwise a witness symmetry is returned."""
+    pairing vanishes; otherwise a witness symmetry is returned.
+
+    The biconditional needs the real pairing H^1 x H^2 -> R to be
+    nondegenerate.  That is read only when the two verdicts disagree: a
+    degenerate pairing gets NO_DUALITY, a nondegenerate one
+    VERDICT_INCONSISTENT.
+    """
     tol = check_tol(tol, PAIRING_TOL)
     if bundle.base is not complex_:
         raise Error("BASE_MISMATCH", "bundle lives on a different complex")
@@ -92,11 +96,9 @@ def sharpness_check(complex_, bundle, tol=PAIRING_TOL):
         i = int(np.argmax(np.abs(pairings)))
         witness = (gammas[i], float(pairings[i]))
     if flat.flat == (witness is not None):
-        raise InconsistencyError(
-            "VERDICT_INCONSISTENT",
-            f"flat={flat.flat} but max |pairing|={max_pairing:.3e}")
-    digest = hashlib.sha256(
-        ",".join(str(v) for v in bundle.chern_cocycle.values)
-        .encode()).hexdigest()[:12]
-    return SharpnessVerdict(digest, flat.flat, witness, pairings,
-                            flat.residual)
+        msg = f"flat={flat.flat} but max |pairing|={max_pairing:.3e}"
+        if not poincare_pairing_matrix(complex_, 1).nondegenerate:
+            raise Error("NO_DUALITY", msg + "; the H^1 x H^2 pairing is "
+                        "degenerate")
+        raise InconsistencyError("VERDICT_INCONSISTENT", msg)
+    return SharpnessVerdict(flat.flat, witness, pairings, flat.residual)

@@ -57,13 +57,16 @@ bundle: the library calls of one warm-bundles op of perfbench
 obstruction_class) on t3 and rp3, one fresh process per case that
 imports the package from the side's src/, with the BLAS pool pinned to
 one thread.  The child fills the caches the op reads (the real bases of
-degrees 1 to 3 and one whole op), then times each call on its own, 300
-times, and records the median in microseconds.  The Chern cocycle is the
-sum of the free H^2 generators on t3 (not flat) and the torsion
-generator on rp3 (flat); gamma is the witness, or an exact 1-cochain when
-there is none.  In the first op the child counts the as_float calls on
-the Chern cocycle, and it prints a sha256 of the op's outputs; main
-stops with an error when the two sides' digests differ.
+degrees 1 to 3 and one whole op), then times the whole op and each call
+on its own, 300 times, and records the median in microseconds.  flatten
+and sharpness_check each get a new bundle per call, so a bundle that
+keeps its solve does not hide it; the median of make_bundle is
+subtracted from theirs.  The Chern cocycle is the sum of the free H^2
+generators on t3 (not flat) and the torsion generator on rp3 (flat);
+gamma is the witness, or an exact 1-cochain when there is none.  In the
+first op the child counts the as_float calls on the Chern cocycle and
+the calls of homology._least_squares, and it prints a sha256 of the op's
+outputs; main stops with an error when the two sides' digests differ.
 
 Results merge into --out under the mode's name: every run, and per
 metric the medians, the parent's quartiles, and in how many pairs the
@@ -127,7 +130,7 @@ BUNDLE_RUN = """
 import hashlib, json, statistics, sys, time
 import numpy as np
 import csobstruct as cs
-from csobstruct import bundle, obstruction
+from csobstruct import bundle, homology, obstruction
 K = cs.generate(sys.argv[1])
 for k in (1, 2, 3):
     cs.basis(K, k)
@@ -135,27 +138,40 @@ free, torsion = cs.integral_generators(K, 2)
 c = cs.Cochain(2, "int", sum(free) if free else torsion[0][1])
 gamma = cs.apply_d(K, cs.Cochain(0, "real", np.random.default_rng(0)
                                  .standard_normal(K.n_simplices(0))))
-as_float, calls = cs.Cochain.as_float, []
+as_float, calls, solves = cs.Cochain.as_float, [], []
+solve = homology._least_squares.__code__
 
 def spy(self):
     calls.append(self is c)
     return as_float(self)
 
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code is solve:
+        solves.append(1)
+
+def op():
+    b = bundle.make_bundle(K, c)
+    flat = bundle.flatten(b)
+    chern = bundle.real_chern_class(b)
+    verdict = obstruction.sharpness_check(K, b)
+    sym = obstruction.VerticalSymmetry(
+        gamma if verdict.witness is None else verdict.witness[0])
+    cls = obstruction.obstruction_class(K, sym, b, flat.connection)
+    return b, flat, chern, verdict, sym, cls
+
 cs.Cochain.as_float = spy
-b = bundle.make_bundle(K, c)
-flat = bundle.flatten(b)
-chern = bundle.real_chern_class(b)
-verdict = obstruction.sharpness_check(K, b)
-sym = obstruction.VerticalSymmetry(
-    gamma if verdict.witness is None else verdict.witness[0])
-cls = obstruction.obstruction_class(K, sym, b, flat.connection)
+sys.setprofile(profile)
+b, flat, chern, verdict, sym, cls = op()
+sys.setprofile(None)
 cs.Cochain.as_float = as_float
-out = {"as_float_calls": calls.count(True)}
+out = {"as_float_calls": calls.count(True), "least_squares_calls": len(solves)}
 steps = {
+    "op": op,
     "make_bundle": lambda: bundle.make_bundle(K, c),
-    "flatten": lambda: bundle.flatten(b),
+    "flatten": lambda: bundle.flatten(bundle.make_bundle(K, c)),
     "real_chern_class": lambda: bundle.real_chern_class(b),
-    "sharpness_check": lambda: obstruction.sharpness_check(K, b),
+    "sharpness_check": lambda: obstruction.sharpness_check(
+        K, bundle.make_bundle(K, c)),
     "obstruction_class": lambda: obstruction.obstruction_class(
         K, sym, b, flat.connection)}
 for name, call in steps.items():
@@ -165,9 +181,11 @@ for name, call in steps.items():
         call()
         times.append(time.perf_counter() - t0)
     out[f"{name}_us"] = 1e6 * statistics.median(times)
+for name in ("flatten", "sharpness_check"):
+    out[f"{name}_us"] -= out["make_bundle_us"]
 parts = [flat.connection.values, np.array([flat.residual, flat.tolerance]),
          flat.obstruction_coords, chern, verdict.all_pairings, cls]
-text = repr((flat.flat, verdict.flat_exists, verdict.bundle_id,
+text = repr((flat.flat, verdict.flat_exists,
              verdict.witness and verdict.witness[1]))
 out["digest"] = hashlib.sha256(b"".join(
     [p.tobytes() for p in parts] + [text.encode()])).hexdigest()

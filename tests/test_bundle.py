@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import csobstruct as cs
+from csobstruct import homology
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from conftest import (random_int_cochain, random_int_cocycle,
@@ -175,6 +178,69 @@ class TestFlatten:
                 class_zero = (res.obstruction_coords.size == 0 or
                               np.abs(res.obstruction_coords).max() < 1e-8)
                 assert res.flat == class_zero
+
+
+class TestFlatSolve:
+    def test_one_solve_per_bundle(self, t3):
+        """One warm-bundles op (make_bundle, flatten, real_chern_class,
+        sharpness_check, obstruction_class) runs the least-squares solve
+        once, at the first flatten, not at construction, and so does
+        sharpness_check on a fresh bundle."""
+        solve, calls = homology._least_squares.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is solve:
+                calls.append(frame.f_back.f_code.co_name)
+
+        c = random_int_cocycle(np.random.default_rng(15), t3)
+        sys.setprofile(profile)
+        try:
+            b = cs.make_bundle(t3, c)
+            built = list(calls)
+            flat = cs.flatten(b)
+            cs.real_chern_class(b)
+            verdict = cs.sharpness_check(t3, b)
+            gamma = cs.basis(t3, 1).representative_cochains()[0] \
+                if verdict.witness is None else verdict.witness[0]
+            cs.obstruction_class(t3, cs.VerticalSymmetry(gamma), b,
+                                 flat.connection)
+            op = list(calls)
+            cs.sharpness_check(t3, cs.make_bundle(t3, c))
+        finally:
+            sys.setprofile(None)
+        assert built == [] and op == ["_flat_solve"]
+        assert calls == ["_flat_solve", "_flat_solve"]
+
+    def test_mutated_connection_leaves_the_solve(self, t3, rp3):
+        """Zeroing the connection one flatten returned changes neither a
+        later flatten nor a later sharpness_check of the same bundle."""
+        rng = np.random.default_rng(16)
+        for K in (t3, rp3):
+            b = cs.make_bundle(K, random_int_cocycle(rng, K))
+            first, verdict = cs.flatten(b), cs.sharpness_check(K, b)
+            connection = first.connection.values.tobytes()
+            first.connection.values[:] = 0.0
+            again, verdict2 = cs.flatten(b), cs.sharpness_check(K, b)
+            assert again.connection.values.tobytes() == connection
+            assert again.residual == first.residual == verdict2.residual
+            assert verdict2.all_pairings.tobytes() == \
+                verdict.all_pairings.tobytes()
+
+    def test_cached_flatten_is_the_direct_solve(self, s1xs2, t3, rp3):
+        """A second flatten of a bundle gives the bytes of the solve
+        dA = -2*pi*c called directly."""
+        rng = np.random.default_rng(17)
+        for K in (s1xs2, t3, rp3):
+            c = random_int_cocycle(rng, K)
+            b = cs.make_bundle(K, c)
+            cs.flatten(b)
+            res = cs.flatten(b)
+            a_star, f = homology._least_squares(
+                K, 2, -(2.0 * np.pi * c.as_float()))
+            residual = float(np.max(np.abs(f))) if f.size else 0.0
+            assert res.connection.values.tobytes() == a_star.tobytes()
+            assert res.residual == residual
+            assert res.flat == (residual <= res.tolerance)
 
 
 class TestGauge:

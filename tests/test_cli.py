@@ -387,6 +387,26 @@ class TestFlattenSharpness:
         r = report(capsys, ["sharpness", paths["t3"], paths["trivial_t3"]])
         assert r["flat_exists"] and "witness" not in r
 
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_sharpness_without_duality_exits_one(self, capsys, paths, i):
+        """The suspension of T^2 has H^1 = 0 and H^2 = Z^2, so no pairing
+        can see its Chern class: sharpness names the missing duality
+        with exit 1 on either H^2 generator, where chern, flatten and
+        obstruction report as usual."""
+        t2 = cs.ordered_product(cs.generate("circle(3)"),
+                                cs.generate("circle(3)"))
+        K = cs.SimplicialComplex([s + (v,) for s in t2.simplices[2]
+                                  for v in (9, 10)])
+        k, c = paths["root"] / "st2.json", paths["root"] / f"st2_c{i}.json"
+        k.write_text(dump_complex(K) + "\n")
+        c.write_text(dump_cochain(Cochain(
+            2, "int", cs.integral_generators(K, 2)[0][i])) + "\n")
+        assert report(capsys, ["flatten", str(k), str(c)])["flat"] is False
+        assert report(capsys, ["obstruction", str(k), str(c)])[
+            "pairings"] == []
+        err = report(capsys, ["sharpness", str(k), str(c)], expect=1)
+        assert "NO_DUALITY: flat=False but max |pairing|=0.000e+00" in err
+
     def test_sharpness_non_cocycle_exits_one(self, capsys, paths, t3):
         rng = np.random.default_rng(1)
         while True:

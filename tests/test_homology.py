@@ -406,8 +406,9 @@ class TestFindPrimitive:
 
 def test_every_solve_is_the_one_least_squares(monkeypatch):
     """flatten, find_primitive, current_globality and sharpness_check on
-    t3 each solve through homology._least_squares.  The four share degree
-    2 of one complex, so np.linalg.eigh runs once for all of them, and
+    t3 each solve through homology._least_squares, the bundle's through
+    U1Bundle._flat_solve, once per bundle.  The four share degree 2 of
+    one complex, so np.linalg.eigh runs once for all of them, and
     np.linalg.lstsq never runs."""
     t3 = cs.generate("t3")                 # fresh: nothing factored yet
     linalg = []
@@ -437,9 +438,9 @@ def test_every_solve_is_the_one_least_squares(monkeypatch):
         cs.sharpness_check(t3, bundle)
     finally:
         sys.setprofile(None)
-    flatten = ("csobstruct.bundle", "flatten")
+    flat_solve = ("csobstruct.bundle", "_flat_solve")
     primitive = ("csobstruct.homology", "find_primitive")
-    assert callers == [flatten, primitive, primitive, flatten]
+    assert callers == [flat_solve, primitive, primitive]
     assert linalg == [("eigh", "csobstruct.homology",
                        "_factor.<locals>.build")]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import csobstruct as cs
+from csobstruct import obstruction
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from conftest import random_int_cocycle, random_real_cochain
@@ -180,6 +181,21 @@ class TestSharpness:
         i = [g.values.tolist() for g in gammas].index(gamma.values.tolist())
         assert abs(value - want[i]) <= 1e-9 * abs(want[i])
         assert abs(want[i]) == max(map(abs, want))
+
+    def test_manifolds_build_no_pairing_matrix(self, fixtures3d,
+                                               monkeypatch):
+        """The duality check runs only when the two verdicts disagree,
+        which they never do on the manifold fixtures."""
+        built = []
+        monkeypatch.setattr(obstruction, "poincare_pairing_matrix",
+                            lambda *args: built.append(args))
+        rng = np.random.default_rng(18)
+        for K in fixtures3d.values():
+            for _ in range(5):
+                cs.sharpness_check(K, cs.make_bundle(
+                    K, random_int_cocycle(rng, K)))
+            cs.sharpness_check(K, trivial(K))
+        assert built == []
 
     def test_biconditional_randomized(self, t3, s1xs2):
         rng = np.random.default_rng(5)
