@@ -17,12 +17,12 @@ import numpy as np
 from .complex_core import Cochain, INT, REAL, _check_length, apply_d
 from .cup import _cup_faces, _fundamental_signs, cup, pair_with_fundamental
 from .errors import Error
-from .homology import _least_squares, basis, require_closed
+from .homology import _least_squares, _sup, basis, require_closed
 
 FLAT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class U1Bundle:
     """Principal U(1) bundle: base complex plus integer Chern 2-cocycle.
 
@@ -51,10 +51,10 @@ class U1Bundle:
         """(a_star, residual) of the least-squares dA = -2*pi*c; lazy,
         so a bundle that is never flattened builds no eigenfactor."""
         a_star, f = _least_squares(self.base, 2, -self.two_pi_c)
-        return a_star, float(np.max(np.abs(f))) if f.size else 0.0
+        return a_star, _sup(f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection:
     """Real 1-cochain section of the discrete bundle of connections."""
 
@@ -68,7 +68,7 @@ class Connection:
         return Cochain(1, REAL, self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatResult:
     connection: Connection
     residual: float
@@ -110,8 +110,7 @@ def flatten(bundle):
     call; each call returns a copy of its connection.
     """
     a_star, residual = bundle._flat_solve
-    scale = float(np.max(np.abs(bundle.two_pi_c), initial=0.0))
-    tol = FLAT_RTOL * (1.0 + scale)
+    tol = FLAT_RTOL * (1.0 + _sup(bundle.two_pi_c))
     return FlatResult(Connection(a_star.copy()), residual, residual <= tol,
                       real_chern_class(bundle), tol)
 

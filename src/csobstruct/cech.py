@@ -20,7 +20,7 @@ import numpy as np
 
 from .complex_core import Cochain, REAL
 from .errors import Error, InconsistencyError
-from .homology import (_closedness_tol, basis, find_primitive,
+from .homology import (_closedness_tol, _primitive, _sup, basis,
                        require_closed)
 
 
@@ -37,14 +37,14 @@ class StarCover:
     stars: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CechClass:
     degree: int
     cocycle: Cochain                  # constants on the degree-k overlaps
     coordinates: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalityReport:
     globalizable: bool
     cech_class: CechClass
@@ -56,10 +56,11 @@ def star_cover(complex_):
     """Closed-star cover of a complex, indexed by its simplices.
 
     The closed star of a simplex s is the join of s with its link, a
-    cone, hence acyclic: the cover is good by construction.
+    cone, hence acyclic: the cover is good by construction.  A complex
+    keeps its one cover in its memo, built on the first call.
     """
-    return StarCover(complex_, tuple(
-        s for k in range(complex_.dim + 1) for s in complex_.simplices[k]))
+    return complex_._memo("star_cover", lambda: StarCover(complex_, tuple(
+        s for k in range(complex_.dim + 1) for s in complex_.simplices[k])))
 
 
 def connecting_delta(cover, omega):
@@ -102,11 +103,14 @@ def current_globality(cover, omega):
     """Globality verdict for a closed (n-1)-current, both routes compared.
 
     Route one: the class coordinates P_k omega of the descent above.
-    Route two: a least-squares global primitive (find_primitive, solved
-    with the complex's memoized eigenfactor of d_{k-1}), which exists
-    exactly when the class vanishes.  Both test against the same
-    limit, so route two can differ only by its residual: the verdicts
-    must agree, and disagreement is an internal failure.
+    Route two: a least-squares global primitive, which exists exactly
+    when the class vanishes.  It is homology._primitive, the step
+    find_primitive ends in, run on the descent's own closedness test,
+    float values and coordinates (a copy, so the report's two arrays do
+    not alias), and solved with the complex's memoized eigenfactor of
+    d_{k-1}.  Both test against the same limit, so route two can differ
+    only by its residual: the verdicts must agree, and disagreement is
+    an internal failure.
     """
     complex_ = cover.complex
     if omega.degree != complex_.dim - 1:
@@ -114,9 +118,9 @@ def current_globality(cover, omega):
                     f"current must have degree {complex_.dim - 1}")
     cech = connecting_delta(cover, omega)
     limit = _closedness_tol(omega.values)
-    prim = find_primitive(complex_, omega, limit)
-    cech_zero = (cech.coordinates.size == 0
-                 or float(np.max(np.abs(cech.coordinates))) <= limit)
+    prim = _primitive(complex_, omega.degree, cech.cocycle.values,
+                      cech.coordinates.copy(), limit)
+    cech_zero = _sup(cech.coordinates) <= limit
     if cech_zero != prim.exact:
         raise InconsistencyError(
             "VERDICT_INCONSISTENT",

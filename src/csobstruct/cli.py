@@ -190,8 +190,8 @@ def _cech_delta(args, complex_, cochain):
     return {"cech_degree": cls.degree,
             "cech_coordinates": _vec(cls.coordinates),
             "simplicial_coordinates": _vec(simplicial),
-            "max_disagreement": _round(np.max(
-                np.abs(cls.coordinates - simplicial), initial=0.0))}
+            "max_disagreement": _round(homology_mod._sup(
+                cls.coordinates - simplicial))}
 
 
 def _current(args, complex_, cochain):

@@ -35,7 +35,7 @@ def _closure(simplices, dim):
     return by_degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """A shape[0] x shape[1] matrix held as its nonzero entries vals[i] at
     (rows[i], cols[i]), in row-major order: the one form of d_k and of
@@ -179,7 +179,7 @@ class SimplicialComplex:
 # -- cochains and chains ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cochain:
     """Degree-k cochain; values aligned with the canonical k-simplex order.
 
@@ -234,7 +234,7 @@ class Cochain:
         return self.values.astype(float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """Degree-k chain with exact integer coefficients."""
 

@@ -70,7 +70,7 @@ def _fundamental_signs(complex_):
         complex_).values.astype(float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingMatrix:
     """P[i][j] = <g_i u h_j, [X]> over the free integral generators g_i
     of H^k and h_j of H^{n-k}, as floats."""

@@ -138,7 +138,7 @@ def _cohomology(complex_, k):
 # -- real cohomology basis --------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyBasis:
     """H^k basis of the free integral generators plus their class map.
 
@@ -193,8 +193,13 @@ def check_tol(tol, default=None):
     return default if tol is None else tol
 
 
+def _sup(x):
+    """max |x| as a float, 0.0 for an empty array; a NaN propagates."""
+    return float(np.abs(x).max(initial=0.0))
+
+
 def _closedness_tol(values):
-    norm = float(np.max(np.abs(np.asarray(values, dtype=float)), initial=0))
+    norm = _sup(np.asarray(values, dtype=float))
     return max(EXACT_ABS_TOL, EXACT_REL_TOL * norm)
 
 
@@ -210,10 +215,9 @@ def require_closed(complex_, cochain, code="NOT_CLOSED"):
         if any(dv.tolist()):
             raise Error(code, "coboundary is not zero over Z")
         return
-    limit = _closedness_tol(cochain.values)
-    if dv.size and not float(np.max(np.abs(dv))) <= limit:  # NaN fails
-        raise Error(code,
-                    f"coboundary norm {np.max(np.abs(dv)):.3e} exceeds {limit:.3e}")
+    norm, limit = _sup(dv), _closedness_tol(cochain.values)
+    if not norm <= limit:  # NaN fails
+        raise Error(code, f"coboundary norm {norm:.3e} exceeds {limit:.3e}")
 
 
 def _factor(complex_, k):
@@ -255,7 +259,7 @@ def _least_squares(complex_, k, values):
     _check_degree(complex_, k)
     V, w = _factor(complex_, k)
     d = complex_._d_triplets(k - 1)
-    e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+    e = math.frexp(_sup(values))[1]
     dty = np.bincount(d.cols, d.vals * np.ldexp(values, -e)[d.rows],
                       d.shape[1])
     x = np.ldexp(V @ ((V.T @ dty) / w), e)
@@ -264,7 +268,7 @@ def _least_squares(complex_, k, values):
     return x, np.bincount(d.rows, d.vals * x[d.cols], d.shape[0]) - values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimitiveResult:
     primitive: Cochain | None
     class_coordinates: np.ndarray
@@ -277,18 +281,29 @@ class PrimitiveResult:
 def find_primitive(complex_, cochain, tol=None):
     """Solve d(beta) = cochain when the class vanishes; else report coords.
 
-    beta is the minimum-norm least-squares solution (_least_squares, from
-    the memoized eigenfactor of d_{k-1}); any minimizer would do, since
-    primitives are only defined up to the kernel of d.
+    The closedness test, the float values and their class coordinates
+    P_k v come first; _primitive, the step current_globality shares,
+    then decides from them.  The default limit is computed only when tol
+    is None.
     """
-    limit = check_tol(tol, _closedness_tol(cochain.values))
+    limit = check_tol(tol) or _closedness_tol(cochain.values)
     require_closed(complex_, cochain)
     k = cochain.degree
     vals = cochain.as_float()
-    coords = basis(complex_, k).coordinates(vals)
-    if coords.size and float(np.max(np.abs(coords))) > limit:
+    return _primitive(complex_, k, vals, basis(complex_, k).coordinates(vals),
+                      limit)
+
+
+def _primitive(complex_, k, vals, coords, limit):
+    """PrimitiveResult of the closed k-cochain vals, whose class
+    coordinates are coords: none when some |coordinate| or the solve's
+    residual exceeds limit, else beta, the minimum-norm least-squares
+    solution of d(beta) = vals (_least_squares, from the memoized
+    eigenfactor of d_{k-1}); any minimizer would do, since primitives
+    are only defined up to the kernel of d."""
+    if _sup(coords) > limit:
         return PrimitiveResult(None, coords)
     beta, residual = _least_squares(complex_, k, vals)
-    if residual.size and float(np.max(np.abs(residual))) > limit:
+    if _sup(residual) > limit:
         return PrimitiveResult(None, coords)
     return PrimitiveResult(Cochain(k - 1, REAL, beta), coords)

@@ -17,12 +17,12 @@ from .bundle import curvature, flatten
 from .complex_core import Cochain, REAL
 from .cup import cup, pair_with_fundamental, poincare_pairing_matrix
 from .errors import Error, InconsistencyError
-from .homology import basis, check_tol, require_closed
+from .homology import _sup, basis, check_tol, require_closed
 
 PAIRING_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerticalSymmetry:
     """Closed real 1-cochain standing in for a vertical symmetry field."""
 
@@ -68,7 +68,7 @@ def h1_pairings(complex_, bundle, a):
         for w in _gamma_cup_f(complex_, gammas, bundle, a)], float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharpnessVerdict:
     flat_exists: bool
     witness: tuple | None          # (gamma cochain, pairing value)
@@ -90,7 +90,7 @@ def sharpness_check(complex_, bundle, tol=PAIRING_TOL):
         raise Error("BASE_MISMATCH", "bundle lives on a different complex")
     flat = flatten(bundle)
     gammas, pairings = h1_pairings(complex_, bundle, flat.connection)
-    max_pairing = float(np.max(np.abs(pairings))) if pairings.size else 0.0
+    max_pairing = _sup(pairings)
     witness = None
     if max_pairing > tol:
         i = int(np.argmax(np.abs(pairings)))

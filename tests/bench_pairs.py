@@ -5,6 +5,7 @@
     python3 tests/bench_pairs.py scaling P C --pairs 5 --out B.json
     python3 tests/bench_pairs.py solve P C --pairs 5 --out B.json
     python3 tests/bench_pairs.py bundle P C --pairs 10 --out B.json
+    python3 tests/bench_pairs.py descent P C --pairs 10 --out B.json
 
 P (the parent) and C (the change) are the roots of two checkouts; give
 them paths of equal length.  In each pair both sides run once, the parent
@@ -67,6 +68,21 @@ gamma is the witness, or an exact 1-cochain when there is none.  In the
 first op the child counts the as_float calls on the Chern cocycle and
 the calls of homology._least_squares, and it prints a sha256 of the op's
 outputs; main stops with an error when the two sides' digests differ.
+
+descent: the library calls of one cech-descent op of perfbench
+(star_cover, then connecting_delta on a closed real 1-cochain and
+2-cochain, and current_globality on an exact and a non-exact real
+2-cochain) on t3 and rp3, one fresh process per case that imports the
+package from the side's src/, with the BLAS pool pinned to one thread.
+Each closed input is d of a fixed-seed normal cochain plus a fixed
+combination of the free generators; rp3 has no free H^2, so its
+non-exact current is its torsion generator, which is exact over the
+reals.  The child fills the caches the op reads (one whole op), then
+times the whole op and each call on its own, 300 times, and records the
+median in microseconds.  In one more op it counts the calls of
+complex_core._d_values and CohomologyBasis.coordinates, and it prints a
+sha256 of the op's outputs; main stops with an error when the two
+sides' digests differ.
 
 Results merge into --out under the mode's name: every run, and per
 metric the medians, the parent's quartiles, and in how many pairs the
@@ -187,6 +203,72 @@ parts = [flat.connection.values, np.array([flat.residual, flat.tolerance]),
          flat.obstruction_coords, chern, verdict.all_pairings, cls]
 text = repr((flat.flat, verdict.flat_exists,
              verdict.witness and verdict.witness[1]))
+out["digest"] = hashlib.sha256(b"".join(
+    [p.tobytes() for p in parts] + [text.encode()])).hexdigest()
+print(json.dumps(out))
+"""
+DESCENT = ["t3", "rp3"]
+DESCENT_RUN = """
+import hashlib, json, statistics, sys, time
+import numpy as np
+import csobstruct as cs
+from csobstruct import cech, complex_core, homology
+K = cs.generate(sys.argv[1])
+rng = np.random.default_rng(0)
+
+def closed(k, gens):
+    w = cs.apply_d(K, cs.Cochain(k - 1, "real", rng.standard_normal(
+        K.n_simplices(k - 1)))).values
+    return cs.Cochain(k, "real", w + sum(gens))
+
+free, torsion = cs.integral_generators(K, 2)
+omega1 = closed(1, cs.basis(K, 1).representatives)
+omega2 = closed(2, cs.basis(K, 2).representatives)
+exact = closed(2, [])
+other = closed(2, cs.basis(K, 2).representatives) if free else \
+    cs.Cochain(2, "real", np.asarray(torsion[0][1], float))
+
+def op():
+    cover = cech.star_cover(K)
+    return (cover, cech.connecting_delta(cover, omega1),
+            cech.connecting_delta(cover, omega2),
+            cech.current_globality(cover, exact),
+            cech.current_globality(cover, other))
+
+op()
+codes = {complex_core._d_values.__code__: "d_values_calls",
+         homology.CohomologyBasis.coordinates.__code__: "coordinates_calls"}
+out = dict.fromkeys(codes.values(), 0)
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in codes:
+        out[codes[frame.f_code]] += 1
+
+sys.setprofile(profile)
+cover, d1, d2, g_exact, g_other = op()
+sys.setprofile(None)
+steps = {
+    "op": op,
+    "star_cover": lambda: cech.star_cover(K),
+    "connecting_delta_1": lambda: cech.connecting_delta(cover, omega1),
+    "connecting_delta_2": lambda: cech.connecting_delta(cover, omega2),
+    "current_globality_exact": lambda: cech.current_globality(cover, exact),
+    "current_globality_other": lambda: cech.current_globality(cover, other)}
+for name, call in steps.items():
+    times = []
+    for _ in range(300):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    out[f"{name}_us"] = 1e6 * statistics.median(times)
+parts = [d1.cocycle.values, d1.coordinates, d2.cocycle.values,
+         d2.coordinates]
+for g in (g_exact, g_other):
+    parts += [g.cech_class.cocycle.values, g.cech_class.coordinates,
+              g.simplicial_coordinates]
+    parts += [] if g.current is None else [g.current.values]
+text = repr((len(cover.stars), d1.degree, d2.degree, g_exact.globalizable,
+             g_other.globalizable))
 out["digest"] = hashlib.sha256(b"".join(
     [p.tobytes() for p in parts] + [text.encode()])).hexdigest()
 print(json.dumps(out))
@@ -315,7 +397,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("mode",
                         choices=("fresh", "perfbench", "scaling", "solve",
-                                 "bundle"))
+                                 "bundle", "descent"))
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--pairs", type=int, default=9)
@@ -341,14 +423,17 @@ def main():
                     elif args.mode == "scaling":
                         pair[side] = _child_run(root, env, SCALING_RUN,
                                                 SCALING)
-                    elif args.mode in ("solve", "bundle"):
-                        script, cases = (SOLVE_RUN, SOLVE) if args.mode == \
-                            "solve" else (BUNDLE_RUN, BUNDLE)
+                    elif args.mode in ("solve", "bundle", "descent"):
+                        script, cases = {
+                            "solve": (SOLVE_RUN, SOLVE),
+                            "bundle": (BUNDLE_RUN, BUNDLE),
+                            "descent": (DESCENT_RUN, DESCENT)}[args.mode]
                         pair[side] = _child_run(root, dict(env, **ONE_THREAD),
                                                 script, cases)
                     else:
                         pair[side] = _perfbench_run(root, env, i)
-            checked = {"scaling": SCALING, "bundle": BUNDLE}
+            checked = {"scaling": SCALING, "bundle": BUNDLE,
+                       "descent": DESCENT}
             moved = [case for case in checked.get(args.mode, []) if
                      pair["parent"][f"{case}.digest"] !=
                      pair["change"][f"{case}.digest"]]

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 import csobstruct as cs
 import oracles
-from csobstruct import homology
+from csobstruct import cech, complex_core, homology
 from csobstruct.complex_core import Cochain
 from csobstruct.errors import Error
 from csobstruct.manifolds import simplex_boundary
@@ -28,6 +29,22 @@ class TestStarCover:
             for k in range(K.dim + 1):
                 for s in K.simplices[k]:
                     assert tuple(s) in cover.stars
+
+    def test_a_complex_keeps_its_one_cover(self, monkeypatch):
+        """A new complex, generated or loaded, builds no cover until
+        star_cover is called; then it builds one and returns it on every
+        later call."""
+        built = []
+        real = cech.StarCover
+        monkeypatch.setattr(cech, "StarCover", lambda *args: (
+            built.append(args[0]) or real(*args)))
+        K = cs.generate("t3")
+        L = cs.load_complex(cs.dump_complex(K))
+        assert built == []
+        cover = cs.star_cover(K)
+        assert cs.star_cover(K) is cover and cover.complex is K
+        assert built == [K]
+        assert cs.star_cover(L) is not cover and built == [K, L]
 
     def test_vertex_star_counts(self, s3, t3):
         # boundary of the 4-simplex: star of a vertex holds all 4 tets
@@ -373,6 +390,41 @@ class TestCurrentGlobality:
         assert rep.current is None
         assert np.abs(np.abs(rep.simplicial_coordinates) - 1.0).max() < 1e-9
         assert np.abs(np.abs(rep.cech_class.coordinates) - 1.0).max() < 1e-8
+
+    def test_one_closedness_test_and_one_class_map(self, covers, t3):
+        """One call on an exact 2-cochain sums d omega once, forms P_k
+        omega once and solves once: the primitive route reads the
+        descent's test and coordinates."""
+        w = cs.apply_d(t3, random_real_cochain(np.random.default_rng(5),
+                                               t3, 1))
+        cs.current_globality(covers["t3"], w)        # warm the caches
+        codes = {f.__code__: name for name, f in (
+            ("d_values", complex_core._d_values),
+            ("coordinates", homology.CohomologyBasis.coordinates),
+            ("least_squares", homology._least_squares))}
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls.append(codes[frame.f_code])
+        sys.setprofile(profile)
+        try:
+            rep = cs.current_globality(covers["t3"], w)
+        finally:
+            sys.setprofile(None)
+        assert rep.globalizable
+        assert sorted(calls) == ["coordinates", "d_values", "least_squares"]
+
+    def test_the_two_coordinate_arrays_do_not_alias(self, covers, t3):
+        rep = cs.current_globality(covers["t3"], random_closed_cochain(
+            np.random.default_rng(4), t3, 2))
+        cech_coords = rep.cech_class.coordinates
+        simplicial = rep.simplicial_coordinates
+        assert not rep.globalizable and np.any(simplicial)
+        assert cech_coords.tobytes() == simplicial.tobytes()
+        kept = simplicial.copy()
+        cech_coords[:] = 0.0
+        assert simplicial.tobytes() == kept.tobytes()
 
     def test_verdicts_agree_randomized(self, covers):
         rng = np.random.default_rng(7)

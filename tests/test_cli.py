@@ -296,8 +296,8 @@ class TestCrossChecks:
     """When a verdict's two routes disagree, cli.run exits 2."""
 
     def test_current_routes_disagree(self, capsys, paths, monkeypatch):
-        solve = cech.find_primitive
-        monkeypatch.setattr(cech, "find_primitive", lambda *args: (
+        solve = cech._primitive
+        monkeypatch.setattr(cech, "_primitive", lambda *args: (
             dataclasses.replace(solve(*args), primitive=None)))
         err = report(capsys, ["current", paths["s3"], paths["exact2_s3"]],
                      expect=2)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ from csobstruct.complex_core import (Cochain, SimplicialComplex, apply_d,
                                      load_complex)
 from csobstruct.cup import _cup_faces, _fundamental_signs
 from csobstruct.errors import Error
+from csobstruct.homology import _snf
 from oracles import coboundary_csr, local_coboundary, star_cover
 
 
@@ -165,6 +167,30 @@ class TestApplyD:
                         for row in local_coboundary(K, k)]
                 got = apply_d(K, Cochain(k, "int", v)).values.tolist()
                 assert got == want and all(type(x) is int for x in got)
+
+
+def test_array_dataclasses_compare_by_identity(s3, t3):
+    """Every dataclass that holds an array compares by identity and
+    hashes; the two that hold only lists and ints keep value equality."""
+    c = Cochain(2, "int", cs.integral_generators(t3, 2)[0][0])
+    b = cs.make_bundle(t3, c)
+    flat = cs.flatten(b)
+    w = cs.apply_d(s3, Cochain.zeros(s3, 1))
+    g = cs.basis(t3, 1).representative_cochains()[0]
+    by_identity = [
+        t3._d_triplets(1), c, fundamental_cycle(t3), b, flat.connection,
+        flat, cs.basis(t3, 2), cs.find_primitive(s3, w),
+        cs.poincare_pairing_matrix(t3, 1),
+        cs.connecting_delta(cs.star_cover(s3), w),
+        cs.current_globality(cs.star_cover(s3), w),
+        cs.symmetry_from_oneform(t3, g), cs.sharpness_check(t3, b)]
+    assert len({type(x).__name__ for x in by_identity}) == 13
+    for x in by_identity:
+        twin = copy.copy(x)
+        assert x == x and not x == twin and x != twin, type(x).__name__
+        assert hash(x) == hash(x) and len({x, twin}) == 2
+    for x in (cs.homology_groups(t3, 1, "int"), _snf(t3, 1)):
+        assert x == copy.copy(x)
 
 
 class TestValueForm:

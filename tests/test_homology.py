@@ -366,6 +366,45 @@ class TestFindPrimitive:
             cs.find_primitive(s3, w)
         assert e.value.code == "NOT_CLOSED"
 
+    def test_nan_two_cochain_not_closed(self, t3):
+        w = Cochain(2, "real", np.full(t3.n_simplices(2), np.nan))
+        for call in (lambda: cs.find_primitive(t3, w),
+                     lambda: cs.current_globality(cs.star_cover(t3), w)):
+            with pytest.raises(Error) as e:
+                call()
+            assert e.value.code == "NOT_CLOSED"
+
+    def test_a_given_tol_skips_the_default(self, t3, monkeypatch):
+        """The default limit is computed only when tol is None; an INT
+        cochain's closedness test is exact and reads no limit either."""
+        y = Cochain(1, "int", np.random.default_rng(3).integers(
+            -3, 4, t3.n_simplices(1)))
+        w = cs.apply_d(t3, y)
+        real, calls = homology._closedness_tol, []
+        monkeypatch.setattr(homology, "_closedness_tol", lambda v: (
+            calls.append(1) or real(v)))
+        assert cs.find_primitive(t3, w, tol=1e-6).exact
+        assert calls == []
+        assert cs.find_primitive(t3, w).exact
+        assert calls == [1]
+
+    def test_empty_coordinates_and_pairings(self, s3, rp3):
+        """No real class in degree 2 on s3 or rp3: an empty coordinate
+        array is no obstruction, and an empty pairing list none either.
+        rp3's torsion generator is exact over the reals."""
+        assert homology._sup(np.zeros(0)) == 0.0
+        for K in (s3, rp3):
+            free, torsion = cs.integral_generators(K, 2)
+            w = Cochain(2, "int", torsion[0][1] if torsion else
+                        np.zeros(K.n_simplices(2), dtype=int))
+            res = cs.find_primitive(K, w)
+            assert res.exact and res.class_coordinates.size == 0
+            rep = cs.current_globality(cs.star_cover(K), w)
+            assert rep.globalizable and rep.simplicial_coordinates.size == 0
+            verdict = cs.sharpness_check(K, cs.make_bundle(K, w))
+            assert verdict.flat_exists and verdict.witness is None
+            assert verdict.all_pairings.size == 0
+
     def test_short_top_cochain_rejected(self, s3):
         with pytest.raises(Error) as e:
             cs.find_primitive(s3, Cochain(3, "real", np.ones(1)))
@@ -407,7 +446,8 @@ class TestFindPrimitive:
 def test_every_solve_is_the_one_least_squares(monkeypatch):
     """flatten, find_primitive, current_globality and sharpness_check on
     t3 each solve through homology._least_squares, the bundle's through
-    U1Bundle._flat_solve, once per bundle.  The four share degree 2 of
+    U1Bundle._flat_solve, once per bundle, and the two primitives'
+    through homology._primitive, the step both routes share.  The four share degree 2 of
     one complex, so np.linalg.eigh runs once for all of them, and
     np.linalg.lstsq never runs."""
     t3 = cs.generate("t3")                 # fresh: nothing factored yet
@@ -439,7 +479,7 @@ def test_every_solve_is_the_one_least_squares(monkeypatch):
     finally:
         sys.setprofile(None)
     flat_solve = ("csobstruct.bundle", "_flat_solve")
-    primitive = ("csobstruct.homology", "find_primitive")
+    primitive = ("csobstruct.homology", "_primitive")
     assert callers == [flat_solve, primitive, primitive]
     assert linalg == [("eigh", "csobstruct.homology",
                        "_factor.<locals>.build")]
